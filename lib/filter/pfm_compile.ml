@@ -462,7 +462,15 @@ let packet_ctx (pkt : Packet.t) ~origin =
     | Packet.Udp_dgram _ -> 17
     | Packet.Raw_payload { protocol; _ } -> 0x10000 lor protocol
   in
-  let opt_port = function Some p -> p | None -> min_int in
+  (* Matched here rather than through [Packet.src_port]/[dst_port], whose
+     options would be allocated on every decision. *)
+  let sport, dport =
+    match pkt.transport with
+    | Packet.Tcp_seg { src_port; dst_port; _ }
+    | Packet.Udp_dgram { src_port; dst_port; _ } ->
+        (src_port, dst_port)
+    | Packet.Icmp_msg _ | Packet.Raw_payload _ -> (min_int, min_int)
+  in
   let icmp =
     match pkt.transport with
     | Packet.Icmp_msg { icmp_type; _ } -> Packet.icmp_type_code icmp_type
@@ -482,7 +490,7 @@ let packet_ctx (pkt : Packet.t) ~origin =
   in
   { Pfm.ints =
       [| proto; addr_int pkt.src; addr_int pkt.dst;
-         opt_port (Packet.src_port pkt); opt_port (Packet.dst_port pkt);
+         sport; dport;
          icmp; syn; origin_code; owner |];
     strs = [||] }
 

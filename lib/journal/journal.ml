@@ -184,6 +184,38 @@ let put_str b off s =
   Bytes.blit_string s 0 b (off + 1) n;
   off + 1 + n
 
+(* A decision record's phase stamp is the decimal phase index and a US
+   byte in front of one request string, truncated with it at [max_string]
+   exactly as [put_str] would truncate the concatenation.  A negative
+   phase writes the string unstamped. *)
+let no_phase = -1
+
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+let stamp_len ph = if ph < 0 then 0 else digits ph + 1
+
+let stamped_len ph s =
+  let l = stamp_len ph + String.length s in
+  1 + if l > max_string then max_string else l
+
+(* Write the decimal digits of [n] ending just before [stop]. *)
+let rec put_digits b stop n =
+  Bytes.unsafe_set b (stop - 1) (Char.unsafe_chr (48 + (n mod 10)));
+  if n >= 10 then put_digits b (stop - 1) (n / 10)
+
+let put_stamped b off ph s =
+  if ph < 0 then put_str b off s
+  else begin
+    let k = stamp_len ph in
+    let l = k + String.length s in
+    let n = if l > max_string then max_string else l in
+    Bytes.unsafe_set b off (Char.unsafe_chr n);
+    put_digits b (off + k) ph;
+    Bytes.unsafe_set b (off + k) '\x1f';
+    Bytes.blit_string s 0 b (off + 1 + k) (n - k);
+    off + 1 + n
+  end
+
 let put_u8 b off v = Bytes.unsafe_set b off (Char.unsafe_chr (v land 0xff))
 let put_u16 b off v = Bytes.set_uint16_le b off v
 let put_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
@@ -207,59 +239,59 @@ let put_decision tm ~at ~reqtag ~seq ~run ~epoch ~subject ~verdict ~errno =
   put_u32 b (o + 9) seq;
   put_u32 b (o + 13) run;
   put_u32 b (o + 17) epoch;
-  put_u32 b (o + 21) subject;
-  (b, o)
+  put_u32 b (o + 21) subject
 
 let finish tm ~at ~len =
   set_header tm.tm_j ~at ~len ~padding:false;
   tm.tm_records <- tm.tm_records + 1;
   tm.tm_bytes <- tm.tm_bytes + len
 
-let append_mount tm ~seq ~run ~epoch ~subject ~verdict ~errno ~source ~target
-    ~fstype ~flags =
+(* The appenders below re-derive the record's segment and offset after
+   [put_decision] rather than have it return them: a returned pair would
+   be the only allocation on the append path. *)
+let append_mount tm ~seq ~run ~epoch ~subject ~verdict ~errno ~phase ~source
+    ~target ~fstype ~flags =
   let len =
-    rounded (27 + str_len source + str_len target + str_len fstype)
+    rounded (27 + stamped_len phase source + str_len target + str_len fstype)
   in
   let at = claim tm len in
-  let b, o =
-    put_decision tm ~at ~reqtag:0 ~seq ~run ~epoch ~subject ~verdict ~errno
-  in
+  put_decision tm ~at ~reqtag:0 ~seq ~run ~epoch ~subject ~verdict ~errno;
+  let b = phys tm.tm_j at and o = at land tm.tm_j.jseg_mask in
   put_u16 b (o + 25) flags;
-  let p = put_str b (o + 27) source in
+  let p = put_stamped b (o + 27) phase source in
   let p = put_str b p target in
   ignore (put_str b p fstype : int);
   finish tm ~at ~len
 
-let append_umount tm ~seq ~run ~epoch ~subject ~verdict ~errno ~target
+let append_umount tm ~seq ~run ~epoch ~subject ~verdict ~errno ~phase ~target
     ~mounted_by =
-  let len = rounded (29 + str_len target) in
+  let len = rounded (29 + stamped_len phase target) in
   let at = claim tm len in
-  let b, o =
-    put_decision tm ~at ~reqtag:1 ~seq ~run ~epoch ~subject ~verdict ~errno
-  in
+  put_decision tm ~at ~reqtag:1 ~seq ~run ~epoch ~subject ~verdict ~errno;
+  let b = phys tm.tm_j at and o = at land tm.tm_j.jseg_mask in
   put_u32 b (o + 25) mounted_by;
-  ignore (put_str b (o + 29) target : int);
+  ignore (put_stamped b (o + 29) phase target : int);
   finish tm ~at ~len
 
-let append_bind tm ~seq ~run ~epoch ~subject ~verdict ~errno ~port ~proto ~exe =
-  let len = rounded (28 + str_len exe) in
+let append_bind tm ~seq ~run ~epoch ~subject ~verdict ~errno ~phase ~port
+    ~proto ~exe =
+  let len = rounded (28 + stamped_len phase exe) in
   let at = claim tm len in
-  let b, o =
-    put_decision tm ~at ~reqtag:2 ~seq ~run ~epoch ~subject ~verdict ~errno
-  in
+  put_decision tm ~at ~reqtag:2 ~seq ~run ~epoch ~subject ~verdict ~errno;
+  let b = phys tm.tm_j at and o = at land tm.tm_j.jseg_mask in
   put_u16 b (o + 25) port;
   put_u8 b (o + 27) proto;
-  ignore (put_str b (o + 28) exe : int);
+  ignore (put_stamped b (o + 28) phase exe : int);
   finish tm ~at ~len
 
-let append_ppp tm ~seq ~run ~epoch ~subject ~verdict ~errno ~device ~safe =
-  let len = rounded (26 + str_len device) in
+let append_ppp tm ~seq ~run ~epoch ~subject ~verdict ~errno ~phase ~device
+    ~safe =
+  let len = rounded (26 + stamped_len phase device) in
   let at = claim tm len in
-  let b, o =
-    put_decision tm ~at ~reqtag:3 ~seq ~run ~epoch ~subject ~verdict ~errno
-  in
+  put_decision tm ~at ~reqtag:3 ~seq ~run ~epoch ~subject ~verdict ~errno;
+  let b = phys tm.tm_j at and o = at land tm.tm_j.jseg_mask in
   put_u8 b (o + 25) (if safe then 1 else 0);
-  ignore (put_str b (o + 26) device : int);
+  ignore (put_stamped b (o + 26) phase device : int);
   finish tm ~at ~len
 
 (* Kernel audit record, after the header word:

@@ -69,24 +69,36 @@ val retire : term -> unit
 
     Decision fields: [verdict] is 0 deny / 1 allow / 2 reject; [errno]
     is 0 for none, else {!Protego_base.Errno.to_code}; [flags] is the
-    compiled mount-flag mask; [proto] is 0 tcp / 1 udp. *)
+    compiled mount-flag mask; [proto] is 0 tcp / 1 udp.
+
+    [phase] is the lifecycle-phase index the decision was served under.
+    When [phase >= 0] it is written in front of one request string per
+    record kind (mount [source], umount [target], bind [exe], ppp
+    [device]) as its decimal digits and a US byte (['\x1f']), and the
+    stamped string is truncated as a whole: the bytes equal those of
+    appending [string_of_int phase ^ "\x1f" ^ s], built without that
+    string.  {!Protego_plane.Plane.split_phase} reads the stamp back.
+    {!no_phase} writes the string unstamped. *)
+
+val no_phase : int
+(** [-1]: the [phase] that leaves a record's request string unstamped. *)
 
 val append_mount :
   term -> seq:int -> run:int -> epoch:int -> subject:int -> verdict:int ->
-  errno:int -> source:string -> target:string -> fstype:string ->
-  flags:int -> unit
+  errno:int -> phase:int -> source:string -> target:string ->
+  fstype:string -> flags:int -> unit
 
 val append_umount :
   term -> seq:int -> run:int -> epoch:int -> subject:int -> verdict:int ->
-  errno:int -> target:string -> mounted_by:int -> unit
+  errno:int -> phase:int -> target:string -> mounted_by:int -> unit
 
 val append_bind :
   term -> seq:int -> run:int -> epoch:int -> subject:int -> verdict:int ->
-  errno:int -> port:int -> proto:int -> exe:string -> unit
+  errno:int -> phase:int -> port:int -> proto:int -> exe:string -> unit
 
 val append_ppp :
   term -> seq:int -> run:int -> epoch:int -> subject:int -> verdict:int ->
-  errno:int -> device:string -> safe:bool -> unit
+  errno:int -> phase:int -> device:string -> safe:bool -> unit
 
 val append_kaudit :
   term -> time:float -> pid:int -> uid:int -> op:string -> obj:string ->

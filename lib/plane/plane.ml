@@ -82,18 +82,23 @@ let capacity_per_sec rr =
    Keyed on the request value by physical identity plus the snapshot
    epoch (same epoch implies the same generation vector — epochs only
    ever move by publication) and the worker cache's epoch (a [reset]
-   must kill slots, as in the sequential dispatcher). *)
+   must kill slots, as in the sequential dispatcher).  An unfilled slot
+   holds [no_request], a placeholder no caller can pass (and the -1 epoch
+   never matches anyway), so a refill stores the request without boxing
+   it in an option. *)
 type slot = {
   mutable f_sepoch : int;  (* snapshot epoch; -1: never filled *)
   mutable f_cepoch : int;  (* worker decision-cache epoch *)
   mutable f_phase : int;   (* subject phase index the verdict was served under *)
-  mutable f_req : request option;
+  mutable f_req : request;
   mutable f_verdict : Pfm.verdict;
   mutable f_errno : Errno.t option;
 }
 
+let no_request = Umount { subject = -1; target = "<none>"; mounted_by = -1 }
+
 let fresh_slot () =
-  { f_sepoch = -1; f_cepoch = 0; f_phase = 0; f_req = None;
+  { f_sepoch = -1; f_cepoch = 0; f_phase = 0; f_req = no_request;
     f_verdict = Pfm.Deny; f_errno = None }
 
 (* Everything a worker touches on a decision is domain-private; the only
@@ -288,8 +293,6 @@ let reset_phases t = Array.iter (fun a -> Atomic.set a 0) t.phases
 
 (* --- the decision ------------------------------------------------------- *)
 
-let sep = "\x1f"
-
 let of_bool b = if b then Pfm.Allow else Pfm.Deny
 
 let deny_errno e (v : Pfm.verdict) =
@@ -306,7 +309,7 @@ let refill w hi snap req ~ph ~verdict ~errno =
   s.f_sepoch <- snap.Snapshot.epoch;
   s.f_cepoch <- DC.epoch w.w_cache;
   s.f_phase <- ph;
-  s.f_req <- Some req;
+  s.f_req <- req;
   s.f_verdict <- verdict;
   s.f_errno <- errno
 
@@ -321,16 +324,35 @@ let slot_valid w hi snap req ~ph =
   s.f_sepoch = snap.Snapshot.epoch
   && s.f_cepoch = DC.epoch w.w_cache
   && s.f_phase = ph
-  && (match s.f_req with Some r -> r == req | None -> false)
+  && s.f_req == req
+
+let snapshot_oracle ?phase snap = function
+  | Mount { source; target; fstype; flags; _ } ->
+      Snapshot.ref_mount ?phase snap ~source ~target ~fstype ~flags
+  | Umount { subject; target; mounted_by } ->
+      Snapshot.ref_umount ?phase snap ~target ~mounted_by ~ruid:subject
+  | Bind { subject; port; proto; exe } ->
+      Snapshot.ref_bind ?phase snap ~port ~proto ~exe ~uid:subject
+  | Ppp_ioctl { device; opt; _ } -> Snapshot.ref_ppp ?phase snap ~device ~opt
+
+(* The PFM context of a request: the memo key and the engine input. *)
+let request_ctx ~ph = function
+  | Mount { source; target; fstype; flags; _ } ->
+      Compile.mount_ctx ~phase:ph ~source ~target ~fstype ~flags
+  | Umount { subject; target; mounted_by } ->
+      Compile.umount_ctx ~phase:ph ~target ~mounted_by ~ruid:subject
+  | Bind { subject; port; proto; exe } ->
+      Compile.bind_ctx ~phase:ph ~port ~proto ~exe ~uid:subject
+  | Ppp_ioctl { device; opt; _ } -> Compile.ppp_ctx ~phase:ph ~device ~opt
 
 (* Serve one request on a worker against the currently published
    snapshot: front slot -> memo table -> engine, exactly the sequential
    dispatcher's ladder, but over domain-private structures.  [ph] is
    the subject's phase index, read once before the ladder: it keys the
-   front slot and the memo args, so a phase transition strands exactly
-   the transitioning subject's cached verdicts, and it selects the
-   per-phase ladder inside the compiled programs (the leading dispatch
-   field of the ctx). *)
+   front slot and, as the leading field of the ctx, the memo table, so a
+   phase transition strands exactly the transitioning subject's cached
+   verdicts, and it selects the per-phase ladder inside the compiled
+   programs. *)
 let decide_with w engine snap req ~ph =
   adopt w snap;
   let hi = hook_index req in
@@ -344,27 +366,9 @@ let decide_with w engine snap req ~ph =
   else begin
     let gens = w.w_gens.(hi) in
     gens.(0) <- snap.Snapshot.gens.(gens_index.(hi));
-    let phase = Phase.of_index ph in
-    let subject, args =
-      match req with
-      | Mount { subject; source; target; fstype; flags } ->
-          ( subject,
-            String.concat sep
-              [ string_of_int ph; source; target; fstype;
-                string_of_int (Compile.flags_mask flags) ] )
-      | Umount { subject; target; mounted_by } ->
-          ( subject,
-            string_of_int ph ^ sep ^ target ^ sep ^ string_of_int mounted_by )
-      | Bind { subject; port; proto; exe } ->
-          ( subject,
-            string_of_int ph ^ sep ^ string_of_int port ^ sep
-            ^ Bindconf.proto_to_string proto ^ sep ^ exe )
-      | Ppp_ioctl { subject; device; opt } ->
-          ( subject,
-            string_of_int ph ^ sep ^ device ^ sep
-            ^ if Protego_net.Ppp.option_is_safe opt then "1" else "0" )
-    in
-    match DC.find w.w_cache w.w_ch.(hi) ~subject ~args ~gens with
+    let subject = subject_of req in
+    let ctx = request_ctx ~ph req in
+    match DC.find w.w_cache w.w_ch.(hi) ~subject ~ctx ~gens with
     | Some (v, e) ->
         tally w hi v;
         refill w hi snap req ~ph ~verdict:v ~errno:e;
@@ -372,32 +376,17 @@ let decide_with w engine snap req ~ph =
           o_phase = ph }
     | None ->
         let v =
-          match req, engine with
-          | Mount { source; target; fstype; flags; _ }, `Pfm ->
-              Pfm.eval w.w_progs.Snapshot.p_mount
-                (Compile.mount_ctx ~phase:ph ~source ~target ~fstype ~flags)
-          | Mount { source; target; fstype; flags; _ }, `Ref ->
-              of_bool
-                (Snapshot.ref_mount ~phase snap ~source ~target ~fstype ~flags)
-          | Umount { subject; target; mounted_by }, `Pfm ->
-              Pfm.eval w.w_progs.Snapshot.p_umount
-                (Compile.umount_ctx ~phase:ph ~target ~mounted_by
-                   ~ruid:subject)
-          | Umount { subject; target; mounted_by }, `Ref ->
-              of_bool
-                (Snapshot.ref_umount ~phase snap ~target ~mounted_by
-                   ~ruid:subject)
-          | Bind { subject; port; proto; exe }, `Pfm ->
-              Pfm.eval w.w_progs.Snapshot.p_bind
-                (Compile.bind_ctx ~phase:ph ~port ~proto ~exe ~uid:subject)
-          | Bind { subject; port; proto; exe }, `Ref ->
-              of_bool
-                (Snapshot.ref_bind ~phase snap ~port ~proto ~exe ~uid:subject)
-          | Ppp_ioctl { device; opt; _ }, `Pfm ->
-              Pfm.eval w.w_progs.Snapshot.p_ppp
-                (Compile.ppp_ctx ~phase:ph ~device ~opt)
-          | Ppp_ioctl { device; opt; _ }, `Ref ->
-              of_bool (Snapshot.ref_ppp ~phase snap ~device ~opt)
+          match engine with
+          | `Pfm ->
+              let progs = w.w_progs in
+              Pfm.eval
+                (match req with
+                 | Mount _ -> progs.Snapshot.p_mount
+                 | Umount _ -> progs.Snapshot.p_umount
+                 | Bind _ -> progs.Snapshot.p_bind
+                 | Ppp_ioctl _ -> progs.Snapshot.p_ppp)
+                ctx
+          | `Ref -> of_bool (snapshot_oracle ~phase:(Phase.of_index ph) snap req)
         in
         let e =
           match req with
@@ -406,7 +395,7 @@ let decide_with w engine snap req ~ph =
         in
         w.w_evals.(hi) <- w.w_evals.(hi) + 1;
         tally w hi v;
-        DC.add w.w_cache w.w_ch.(hi) ~subject ~args ~gens ~verdict:v ~errno:e;
+        DC.add w.w_cache w.w_ch.(hi) ~subject ~ctx ~gens ~verdict:v ~errno:e;
         refill w hi snap req ~ph ~verdict:v ~errno:e;
         { o_verdict = v; o_errno = e; o_epoch = snap.Snapshot.epoch;
           o_phase = ph }
@@ -445,11 +434,10 @@ let slice_len n d w = if w >= n then 0 else ((n - w - 1) / d) + 1
 
 (* The phase a decision was served under rides inside the journal's
    existing request strings (a "<digit>US" prefix on one string field
-   per record kind), so the binary record format is unchanged and old
-   journals still decode — {!split_phase} reads absent stamps as phase
-   0.  Replay peels the stamp off before re-evaluating. *)
-let stamp_phase ph s = string_of_int ph ^ sep ^ s
-
+   per record kind, written in place by the journal's appenders), so the
+   binary record format is unchanged and old journals still decode —
+   {!split_phase} reads absent stamps as phase 0.  Replay peels the stamp
+   off before re-evaluating. *)
 let split_phase s =
   match String.index_opt s '\x1f' with
   | Some i -> (
@@ -462,7 +450,7 @@ let split_phase s =
 (* Claim-and-encode one decision into the worker's journal term.  The
    ppp option collapses to its safe bit, which is the only thing the
    decision depends on; the flags list collapses to the compiled mask. *)
-let journal_append ?(recorded = false) term ~run ~seq req (o : outcome) =
+let journal_append ~recorded term ~run ~seq req (o : outcome) =
   let verdict =
     if recorded then 3
     else
@@ -470,23 +458,21 @@ let journal_append ?(recorded = false) term ~run ~seq req (o : outcome) =
   in
   let errno = match o.o_errno with None -> 0 | Some e -> Errno.to_code e in
   let epoch = o.o_epoch in
-  let ph = o.o_phase in
+  let phase = o.o_phase in
   match req with
   | Mount { subject; source; target; fstype; flags } ->
-      J.append_mount term ~seq ~run ~epoch ~subject ~verdict ~errno
-        ~source:(stamp_phase ph source) ~target ~fstype
-        ~flags:(Compile.flags_mask flags)
+      J.append_mount term ~seq ~run ~epoch ~subject ~verdict ~errno ~phase
+        ~source ~target ~fstype ~flags:(Compile.flags_mask flags)
   | Umount { subject; target; mounted_by } ->
-      J.append_umount term ~seq ~run ~epoch ~subject ~verdict ~errno
-        ~target:(stamp_phase ph target) ~mounted_by
+      J.append_umount term ~seq ~run ~epoch ~subject ~verdict ~errno ~phase
+        ~target ~mounted_by
   | Bind { subject; port; proto; exe } ->
-      J.append_bind term ~seq ~run ~epoch ~subject ~verdict ~errno ~port
-        ~proto:(match proto with Bindconf.Tcp -> 0 | Bindconf.Udp -> 1)
-        ~exe:(stamp_phase ph exe)
+      J.append_bind term ~seq ~run ~epoch ~subject ~verdict ~errno ~phase
+        ~port ~proto:(match proto with Bindconf.Tcp -> 0 | Bindconf.Udp -> 1)
+        ~exe
   | Ppp_ioctl { subject; device; opt } ->
-      J.append_ppp term ~seq ~run ~epoch ~subject ~verdict ~errno
-        ~device:(stamp_phase ph device)
-        ~safe:(Protego_net.Ppp.option_is_safe opt)
+      J.append_ppp term ~seq ~run ~epoch ~subject ~verdict ~errno ~phase
+        ~device ~safe:(Protego_net.Ppp.option_is_safe opt)
 
 let merge_audit spools n d =
   Array.iteri
@@ -899,15 +885,6 @@ let request_oracle ?phase (st : PS.t) = function
   | Ppp_ioctl { device; opt; _ } ->
       PS.ppp_ioctl_decision ?phase st ~device ~opt
 
-let snapshot_oracle ?phase snap = function
-  | Mount { source; target; fstype; flags; _ } ->
-      Snapshot.ref_mount ?phase snap ~source ~target ~fstype ~flags
-  | Umount { subject; target; mounted_by } ->
-      Snapshot.ref_umount ?phase snap ~target ~mounted_by ~ruid:subject
-  | Bind { subject; port; proto; exe } ->
-      Snapshot.ref_bind ?phase snap ~port ~proto ~exe ~uid:subject
-  | Ppp_ioctl { device; opt; _ } -> Snapshot.ref_ppp ?phase snap ~device ~opt
-
 let request_deny_errno = function
   | Bind _ -> Errno.EACCES
   | Mount _ | Umount _ | Ppp_ioctl _ -> Errno.EPERM
@@ -939,6 +916,6 @@ let decide_against t ~worker snap req =
   decide_with (worker_of t worker) t.engine snap req ~ph:(request_phase t req)
 
 let journal_decision t ~worker ~run ~seq req o =
-  journal_append (worker_of t worker).w_term ~run ~seq req o
+  journal_append ~recorded:false (worker_of t worker).w_term ~run ~seq req o
 
 let worker_term t i = (worker_of t i).w_term

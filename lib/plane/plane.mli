@@ -189,7 +189,8 @@ val runs : t -> int
     The plane's analogue of the LSM's per-task phase
     (DESIGN.md §11): a fixed table of atomics indexed
     [subject mod phase_slots], read once per decision.  The phase keys
-    the front slot and the memo-table args and selects the per-phase
+    the front slot and the memo table (it is the PFM context's leading
+    field) and selects the per-phase
     ladder in the compiled programs, so a transition strands exactly
     the transitioning subject's cached verdicts — no flush, no epoch
     bump. *)
@@ -209,14 +210,12 @@ val reset_phases : t -> unit
 (** Every subject back to {!Protego_base.Phase.initial} — part of the
     ["reset"] /proc command, for between-run reuse only. *)
 
-val stamp_phase : int -> string -> string
-(** The journal encoding of a served phase: a ["<index>\x1f"] prefix
-    on one request-string field per record kind (mount source, umount
-    target, bind exe, ppp device) — the binary record format is
-    unchanged. *)
-
 val split_phase : string -> int * string
-(** Peel a {!stamp_phase} prefix off; an unstamped string (an old
+(** Peel the journal's phase stamp off a request string: the decision's
+    phase index as a ["<index>\x1f"] prefix on one request-string field
+    per record kind (mount source, umount target, bind exe, ppp device),
+    written in place by the {!Protego_journal.Journal} appenders, so the
+    binary record format is unchanged.  An unstamped string (an old
     journal) reads as phase 0 with the string intact. *)
 
 (** {1 Reference oracles}

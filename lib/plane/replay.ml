@@ -42,7 +42,7 @@ let errno_name = function
       | None -> Printf.sprintf "errno:%d" c)
 
 (* Each record kind carries its served phase stamped inside one request
-   string ({!Plane.stamp_phase}); peel it off and re-evaluate under
+   string ({!Plane.split_phase}); peel it off and re-evaluate under
    exactly that phase, so a decision journaled across a phase
    transition replays against the phase that actually served it. *)
 let expected_allow snap (dec : J.decision) =

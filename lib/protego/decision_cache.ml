@@ -9,26 +9,33 @@ type hook = {
   mutable h_stale : int;
 }
 
-(* Keys deliberately store the hook as its dense id: key equality is then
-   two int compares before the argument string is even looked at. *)
-type key = { k_hook : int; k_subject : int; k_args : string }
-
+(* One memo entry.  The key is (hook id, subject, PFM context): the ctx
+   is exactly the engine's input, so two requests share an entry only if
+   the engine cannot tell them apart.  [e_hash] caches the key's hash so
+   a chain walk compares one int before touching the ctx.  Entries are
+   chained per bucket through [e_chain] and kept on an intrusive LRU ring
+   through [e_prev]/[e_next]; both end at the table's sentinel instead of
+   [None], so relinking allocates nothing. *)
 type entry = {
-  e_key : key;
-  e_hook : hook;
+  e_hook : int;
+  e_subject : int;
+  e_ctx : Pfm.ctx;
+  e_hash : int;
   mutable e_gens : int array;
-  mutable e_verdict : Pfm.verdict;
-  mutable e_errno : Errno.t option;
-  (* intrusive LRU list, most-recent at [head] *)
-  mutable e_prev : entry option;
-  mutable e_next : entry option;
+  mutable e_result : (Pfm.verdict * Errno.t option) option;
+      (* always [Some]: allocated once per [add], returned as is by [find] *)
+  mutable e_chain : entry;
+  mutable e_prev : entry;
+  mutable e_next : entry;
 }
 
 type t = {
   cap : int;
-  table : (key, entry) Hashtbl.t;
-  mutable head : entry option;
-  mutable tail : entry option;
+  buckets : entry array;   (* power-of-two length, [nil]-terminated chains *)
+  bmask : int;
+  nil : entry;
+      (* sentinel: [nil.e_next] is the most recent entry, [nil.e_prev]
+         the least recent; both are [nil] when the table is empty *)
   mutable size : int;
   mutable enabled : bool;
   (* Atomic: the dispatcher's front slots in other domains compare their
@@ -44,9 +51,21 @@ type t = {
 
 let default_capacity = 1024
 
+let make_nil () =
+  let rec nil =
+    { e_hook = -1; e_subject = 0; e_ctx = { Pfm.ints = [||]; strs = [||] };
+      e_hash = 0; e_gens = [||]; e_result = None; e_chain = nil; e_prev = nil;
+      e_next = nil }
+  in
+  nil
+
+let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
+
 let create ?(capacity = default_capacity) () =
   let cap = max 1 capacity in
-  { cap; table = Hashtbl.create cap; head = None; tail = None; size = 0;
+  let nb = pow2_at_least (2 * cap) 1 in
+  let nil = make_nil () in
+  { cap; buckets = Array.make nb nil; bmask = nb - 1; nil; size = 0;
     enabled = true; epoch = Atomic.make 0; hits = 0; misses = 0; stale = 0;
     evicted = 0;
     hooks = [] }
@@ -78,98 +97,158 @@ let stale_evictions t = t.stale
 let capacity_evictions t = t.evicted
 let hook_stats t = List.rev t.hooks
 
-(* --- LRU list ----------------------------------------------------------- *)
+(* --- key hashing and equality ------------------------------------------- *)
 
-let unlink t e =
-  (match e.e_prev with
-   | Some p -> p.e_next <- e.e_next
-   | None -> t.head <- e.e_next);
-  (match e.e_next with
-   | Some n -> n.e_prev <- e.e_prev
-   | None -> t.tail <- e.e_prev);
-  e.e_prev <- None;
-  e.e_next <- None
+(* Everything below is top-level and closure-free: without flambda a local
+   [let rec] that captures variables allocates its closure on every call,
+   and these run on every lookup. *)
+
+let mix h x =
+  let h = (h lxor x) * 0x100000001b3 in
+  h lxor (h lsr 29)
+
+let rec hash_ints a i h =
+  if i >= Array.length a then h
+  else hash_ints a (i + 1) (mix h (Array.unsafe_get a i))
+
+let rec hash_strs a i h =
+  if i >= Array.length a then h
+  else hash_strs a (i + 1) (mix h (Hashtbl.hash (Array.unsafe_get a i)))
+
+(* The array lengths are mixed in too, so the int and string fields can
+   never trade places in the hash. *)
+let hash_key hid subject (ctx : Pfm.ctx) =
+  let h = mix (mix hid subject) (Array.length ctx.Pfm.ints) in
+  let h = hash_ints ctx.Pfm.ints 0 h in
+  let h = mix h (Array.length ctx.Pfm.strs) in
+  hash_strs ctx.Pfm.strs 0 h land max_int
+
+let rec same_ints (a : int array) b i =
+  i >= Array.length a
+  || (Array.unsafe_get a i = Array.unsafe_get b i && same_ints a b (i + 1))
+
+let rec same_strs (a : string array) b i =
+  i >= Array.length a
+  || String.equal (Array.unsafe_get a i) (Array.unsafe_get b i)
+     && same_strs a b (i + 1)
+
+let same_ctx (a : Pfm.ctx) (b : Pfm.ctx) =
+  a == b
+  || Array.length a.Pfm.ints = Array.length b.Pfm.ints
+     && Array.length a.Pfm.strs = Array.length b.Pfm.strs
+     && same_ints a.Pfm.ints b.Pfm.ints 0
+     && same_strs a.Pfm.strs b.Pfm.strs 0
+
+let same_gens a b = Array.length a = Array.length b && same_ints a b 0
+
+let rec lookup nil e h hid subject ctx =
+  if e == nil then nil
+  else if
+    e.e_hash = h && e.e_hook = hid && e.e_subject = subject
+    && same_ctx e.e_ctx ctx
+  then e
+  else lookup nil e.e_chain h hid subject ctx
+
+(* --- LRU ring ----------------------------------------------------------- *)
+
+let unlink e =
+  e.e_prev.e_next <- e.e_next;
+  e.e_next.e_prev <- e.e_prev
 
 let push_front t e =
-  e.e_prev <- None;
-  e.e_next <- t.head;
-  (match t.head with Some h -> h.e_prev <- Some e | None -> t.tail <- Some e);
-  t.head <- Some e
+  let nil = t.nil in
+  e.e_prev <- nil;
+  e.e_next <- nil.e_next;
+  nil.e_next.e_prev <- e;
+  nil.e_next <- e
 
 let touch t e =
-  match e.e_prev with
-  | None -> ()  (* already most recent *)
-  | Some _ ->
-      unlink t e;
-      push_front t e
+  if t.nil.e_next != e then begin
+    unlink e;
+    push_front t e
+  end
+
+(* Remove [e] from its bucket chain, whose first entry is [p]. *)
+let rec unchain nil p e =
+  if p != nil then
+    if p.e_chain == e then p.e_chain <- e.e_chain
+    else unchain nil p.e_chain e
 
 let drop t e =
-  unlink t e;
-  Hashtbl.remove t.table e.e_key;
+  unlink e;
+  let b = e.e_hash land t.bmask in
+  let first = Array.unsafe_get t.buckets b in
+  if first == e then Array.unsafe_set t.buckets b e.e_chain
+  else unchain t.nil first e;
   t.size <- t.size - 1
 
 (* --- the hot path ------------------------------------------------------- *)
 
-let same_gens a b =
-  let n = Array.length a in
-  n = Array.length b
-  &&
-  let rec go i = i >= n || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1)) in
-  go 0
-
-let find t hook ~subject ~args ~gens =
+let find t hook ~subject ~ctx ~gens =
   if not t.enabled then None
   else
-    let key = { k_hook = hook.hid; k_subject = subject; k_args = args } in
-    match Hashtbl.find_opt t.table key with
-    | Some e when same_gens e.e_gens gens ->
-        touch t e;
-        t.hits <- t.hits + 1;
-        hook.h_hits <- hook.h_hits + 1;
-        Some (e.e_verdict, e.e_errno)
-    | Some e ->
-        drop t e;
-        t.stale <- t.stale + 1;
-        hook.h_stale <- hook.h_stale + 1;
-        t.misses <- t.misses + 1;
-        hook.h_misses <- hook.h_misses + 1;
-        None
-    | None ->
-        t.misses <- t.misses + 1;
-        hook.h_misses <- hook.h_misses + 1;
-        None
+    let h = hash_key hook.hid subject ctx in
+    let e =
+      lookup t.nil (Array.unsafe_get t.buckets (h land t.bmask)) h hook.hid
+        subject ctx
+    in
+    if e == t.nil then begin
+      t.misses <- t.misses + 1;
+      hook.h_misses <- hook.h_misses + 1;
+      None
+    end
+    else if same_gens e.e_gens gens then begin
+      touch t e;
+      t.hits <- t.hits + 1;
+      hook.h_hits <- hook.h_hits + 1;
+      e.e_result
+    end
+    else begin
+      drop t e;
+      t.stale <- t.stale + 1;
+      hook.h_stale <- hook.h_stale + 1;
+      t.misses <- t.misses + 1;
+      hook.h_misses <- hook.h_misses + 1;
+      None
+    end
 
-let add t hook ~subject ~args ~gens ~verdict ~errno =
-  if not t.enabled then ()
-  else
-    let key = { k_hook = hook.hid; k_subject = subject; k_args = args } in
-    match Hashtbl.find_opt t.table key with
-    | Some e ->
-        e.e_gens <- Array.copy gens;
-        e.e_verdict <- verdict;
-        e.e_errno <- errno;
-        touch t e
-    | None ->
-        if t.size >= t.cap then (
-          match t.tail with
-          | Some lru ->
-              drop t lru;
-              t.evicted <- t.evicted + 1
-          | None -> ());
-        let e =
-          { e_key = key; e_hook = hook; e_gens = Array.copy gens;
-            e_verdict = verdict; e_errno = errno; e_prev = None; e_next = None }
-        in
-        push_front t e;
-        Hashtbl.add t.table key e;
-        t.size <- t.size + 1
+let add t hook ~subject ~ctx ~gens ~verdict ~errno =
+  if t.enabled then begin
+    let h = hash_key hook.hid subject ctx in
+    let b = h land t.bmask in
+    let e = lookup t.nil (Array.unsafe_get t.buckets b) h hook.hid subject ctx in
+    if e != t.nil then begin
+      e.e_gens <- Array.copy gens;
+      e.e_result <- Some (verdict, errno);
+      touch t e
+    end
+    else begin
+      if t.size >= t.cap then begin
+        let lru = t.nil.e_prev in
+        if lru != t.nil then begin
+          drop t lru;
+          t.evicted <- t.evicted + 1
+        end
+      end;
+      (* read the bucket head only now: the eviction may have changed it *)
+      let e =
+        { e_hook = hook.hid; e_subject = subject; e_ctx = ctx; e_hash = h;
+          e_gens = Array.copy gens; e_result = Some (verdict, errno);
+          e_chain = Array.unsafe_get t.buckets b; e_prev = t.nil;
+          e_next = t.nil }
+      in
+      Array.unsafe_set t.buckets b e;
+      push_front t e;
+      t.size <- t.size + 1
+    end
+  end
 
 (* --- control ------------------------------------------------------------ *)
 
 let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None;
+  Array.fill t.buckets 0 (Array.length t.buckets) t.nil;
+  t.nil.e_next <- t.nil;
+  t.nil.e_prev <- t.nil;
   t.size <- 0;
   Atomic.incr t.epoch
 

@@ -2,11 +2,21 @@
     table in front of the filter-machine dispatcher.
 
     A filtered hook's decision is a pure function of (policy sources it
-    reads, subject credential key, canonicalized argument tuple).  The
-    dispatcher therefore memoizes verdicts: the lookup order on every
-    filtered hook is {e cache -> compiled PFM -> reference engine}.  Both
-    positive (Allow) and negative (Deny/Reject, with the errno the hook
-    would return) results are cached.
+    reads, subject credential key, the hook's PFM context).  The context
+    ({!Pfm.ctx}) is the argument tuple the compiled program evaluates —
+    flag lists already folded to their mask, a ppp option to its safe
+    bit, the caller's lifecycle phase in its leading field — so the
+    dispatcher builds it once per miss and uses the same value as memo
+    key and engine input.  The lookup order on every filtered hook is
+    {e cache -> compiled PFM -> reference engine}.  Both positive (Allow)
+    and negative (Deny/Reject, with the errno the hook would return)
+    results are cached.
+
+    Keys compare field by field (ints by value, strings by content), so
+    two requests share an entry exactly when the engine sees the same
+    input: no separator-joined rendering, hence no ambiguity when an
+    argument contains the separator byte.  The table hashes the context
+    in place and a hit allocates nothing.
 
     {b Invalidation is lazy and per-source, not a global flush.}  Every
     policy source carries a generation counter ({!Policy_state.generation});
@@ -61,30 +71,34 @@ val set_enabled : t -> bool -> unit
 (** {1 The hot path} *)
 
 val find :
-  t -> hook -> subject:int -> args:string -> gens:int array ->
+  t -> hook -> subject:int -> ctx:Pfm.ctx -> gens:int array ->
   (Pfm.verdict * Protego_base.Errno.t option) option
 (** [Some (verdict, errno)] on a fresh hit ([errno] is the value the hook
     returns on a denial; [None] for Allow or verdicts without an errno).
+    The option was allocated by {!add}, so a hit allocates nothing.
     [None] on a miss — including a generation mismatch, which also evicts
     the stale entry and counts under [stale].  The caller owns [gens] and
     may reuse the array across calls; it is copied on insertion, compared
     elementwise here. *)
 
 val add :
-  t -> hook -> subject:int -> args:string -> gens:int array ->
+  t -> hook -> subject:int -> ctx:Pfm.ctx -> gens:int array ->
   verdict:Pfm.verdict -> errno:Protego_base.Errno.t option -> unit
 (** Insert (or refresh) the memo for a decision just computed by an
-    engine.  Evicts the least-recently-used entry when at capacity. *)
+    engine.  Evicts the least-recently-used entry when at capacity.  The
+    table keeps [ctx] as the entry's key: the caller must not mutate it
+    afterwards. *)
 
 (** {1 Front slots}
 
-    Building the canonical argument string costs as much as evaluating a
-    small compiled program, so the dispatcher keeps a one-entry front slot
-    per hook, compared by {e physical} identity of the raw arguments (sound:
-    the argument values are immutable) and validated by the same generation
-    stamps.  The two functions below keep such slots coherent with this
-    table: a slot is only served while {!epoch} still has the value the slot
-    was stamped with, and a slot hit is counted here like any other hit. *)
+    Building the PFM context and hashing it costs about as much as
+    evaluating a small compiled program, so the dispatcher keeps a
+    one-entry front slot per hook, compared by {e physical} identity of
+    the raw arguments (sound: the argument values are immutable) and
+    validated by the same generation stamps.  The two functions below
+    keep such slots coherent with this table: a slot is only served while
+    {!epoch} still has the value the slot was stamped with, and a slot
+    hit is counted here like any other hit. *)
 
 val epoch : t -> int
 (** Changes whenever memoized entries are dropped wholesale ({!clear} /

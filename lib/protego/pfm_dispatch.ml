@@ -33,26 +33,28 @@ type 'k cache = { mutable slot : ('k * Pfm.program) option }
 type 'k watch = { mutable seen : 'k option }
 
 (* One-entry front slot per hook, ahead of the {!Decision_cache} table.
-   Where the table keys on the canonical argument string, the slot keys on
-   the raw arguments by physical identity ('a is the hook's raw tuple) —
-   sound because the argument values are immutable, and cheap enough that a
+   Where the table keys on the PFM context, the slot keys on the raw
+   arguments by physical identity ('a is the hook's raw tuple) — sound
+   because the argument values are immutable, and cheap enough that a
    repeated decision costs a handful of compares.  Validity is the same
    generation check the table uses, plus the cache epoch (a wholesale
    [clear]/[reset] must not leave a servable slot behind).  [s_x] carries
-   the hook's canonicalized integer argument (flag mask, port/proto,
-   option-safety bit); hooks without one leave it 0. *)
+   the hook's integer argument (mounted_by, port/proto); hooks without
+   one leave it 0.  [s_args] starts as a placeholder the epoch check
+   never lets through, so a refill stores the arguments without boxing
+   them in an option. *)
 type 'a slot = {
   mutable s_epoch : int;  (* -1: never filled *)
   mutable s_gen : int;
   mutable s_sub : int;
   mutable s_ph : int;  (* subject's lifecycle-phase index at fill time *)
   mutable s_x : int;
-  mutable s_args : 'a option;
+  mutable s_args : 'a;
   mutable s_verdict : Pfm.verdict;
 }
 
-let fresh_slot () =
-  { s_epoch = -1; s_gen = 0; s_sub = 0; s_ph = 0; s_x = 0; s_args = None;
+let fresh_slot args =
+  { s_epoch = -1; s_gen = 0; s_sub = 0; s_ph = 0; s_x = 0; s_args = args;
     s_verdict = Pfm.Deny }
 
 (* One latency histogram per engine that can serve a hook's decision. *)
@@ -104,7 +106,7 @@ type t = {
   ppp_slot : (string * Protego_net.Ppp.option_) slot;
   nf_slot : (Packet.t * Packet.origin) slot;
   (* scratch generation vectors, one per hook, reused on every decision so
-     the hit path allocates nothing but the key *)
+     the hit path allocates nothing but the PFM context *)
   g_mount : int array;
   g_umount : int array;
   g_bind : int array;
@@ -172,11 +174,15 @@ let create () =
     ppp_watch = { seen = None };
     nf_watch = { seen = None };
     nf_gen = 0;
-    mount_slot = fresh_slot ();
-    umount_slot = fresh_slot ();
-    bind_slot = fresh_slot ();
-    ppp_slot = fresh_slot ();
-    nf_slot = fresh_slot ();
+    mount_slot = fresh_slot ("", "", "", []);
+    umount_slot = fresh_slot "";
+    bind_slot = fresh_slot "";
+    ppp_slot = fresh_slot ("", Protego_net.Ppp.Accomp);
+    nf_slot =
+      fresh_slot
+        ( Packet.echo_request ~src:Protego_net.Ipaddr.any
+            ~dst:Protego_net.Ipaddr.any ~seq:0 (),
+          Packet.Kernel_stack );
     g_mount = [| 0 |];
     g_umount = [| 0 |];
     g_bind = [| 0 |];
@@ -414,13 +420,6 @@ let tally st (v : Pfm.verdict) =
 
 let of_bool b = if b then Pfm.Allow else Pfm.Deny
 
-(* Canonical argument-tuple encodings.  US (unit separator) cannot appear
-   in any path, fstype or rendered integer, so the encoding is injective.
-   Flag lists are canonicalized to their bitmask (order- and
-   duplicate-insensitive); a ppp option is canonicalized to the one bit of
-   it the decision reads (whether it is intrinsically safe). *)
-let sep = "\x1f"
-
 let deny_errno e (v : Pfm.verdict) =
   match v with Pfm.Allow -> None | Pfm.Deny | Pfm.Reject -> Some e
 
@@ -459,7 +458,7 @@ let refill t (s : _ slot) ~gen ~sub ~ph ~x ~args ~verdict =
     s.s_sub <- sub;
     s.s_ph <- ph;
     s.s_x <- x;
-    s.s_args <- Some args;
+    s.s_args <- args;
     s.s_verdict <- verdict
   end
 
@@ -504,10 +503,8 @@ let decide_mount t ?(subject = 0) ?(phase = Phase.initial) (st : Policy_state.t)
     && s.s_epoch = Decision_cache.epoch t.dcache
     && s.s_gen = Array.unsafe_get gens 0
     && s.s_sub = subject && s.s_ph = ph
-    && (match s.s_args with
-        | Some (sr, tg, fs, fl) ->
-            sr == source && tg == target && fs == fstype && fl == flags
-        | None -> false)
+    && (let sr, tg, fs, fl = s.s_args in
+        sr == source && tg == target && fs == fstype && fl == flags)
   then begin
     Decision_cache.record_hit t.dcache t.ch_mount;
     t.last_engine <- "cache";
@@ -524,12 +521,8 @@ let decide_mount t ?(subject = 0) ?(phase = Phase.initial) (st : Policy_state.t)
   else begin
     let sp = t.traced && Trace.spans_enabled t.trace in
     let stages = if sp then [ ("slot", Trace.now t.trace - t0) ] else [] in
-    let args =
-      String.concat sep
-        [ string_of_int ph; source; target; fstype;
-          string_of_int (Compile.flags_mask flags) ]
-    in
-    let found = Decision_cache.find t.dcache t.ch_mount ~subject ~args ~gens in
+    let ctx = Compile.mount_ctx ~phase:ph ~source ~target ~fstype ~flags in
+    let found = Decision_cache.find t.dcache t.ch_mount ~subject ~ctx ~gens in
     let stages = if sp then ("table", Trace.now t.trace - t0) :: stages else stages in
     let v, errno, stages =
       match found with
@@ -550,13 +543,12 @@ let decide_mount t ?(subject = 0) ?(phase = Phase.initial) (st : Policy_state.t)
                     ~compile:(fun rules ->
                       Compile.mount (List.map filter_rule rules))
                 in
-                run t.mount_stats p
-                  (Compile.mount_ctx ~phase:ph ~source ~target ~fstype ~flags)
+                run t.mount_stats p ctx
           in
           t.last_engine <- engine_name t;
           let v = tally t.mount_stats v in
           let e = deny_errno Errno.EPERM v in
-          Decision_cache.add t.dcache t.ch_mount ~subject ~args ~gens ~verdict:v
+          Decision_cache.add t.dcache t.ch_mount ~subject ~ctx ~gens ~verdict:v
             ~errno:e;
           (v, e,
            if sp then ("engine", Trace.now t.trace - t0) :: stages else stages)
@@ -580,7 +572,7 @@ let decide_umount t ?(phase = Phase.initial) (st : Policy_state.t) ~target
     && s.s_epoch = Decision_cache.epoch t.dcache
     && s.s_gen = Array.unsafe_get gens 0
     && s.s_sub = ruid && s.s_ph = ph && s.s_x = mounted_by
-    && (match s.s_args with Some tg -> tg == target | None -> false)
+    && s.s_args == target
   then begin
     Decision_cache.record_hit t.dcache t.ch_umount;
     t.last_engine <- "cache";
@@ -597,11 +589,9 @@ let decide_umount t ?(phase = Phase.initial) (st : Policy_state.t) ~target
   else begin
     let sp = t.traced && Trace.spans_enabled t.trace in
     let stages = if sp then [ ("slot", Trace.now t.trace - t0) ] else [] in
-    let args =
-      string_of_int ph ^ sep ^ target ^ sep ^ string_of_int mounted_by
-    in
+    let ctx = Compile.umount_ctx ~phase:ph ~target ~mounted_by ~ruid in
     let found =
-      Decision_cache.find t.dcache t.ch_umount ~subject:ruid ~args ~gens
+      Decision_cache.find t.dcache t.ch_umount ~subject:ruid ~ctx ~gens
     in
     let stages = if sp then ("table", Trace.now t.trace - t0) :: stages else stages in
     let v, errno, stages =
@@ -623,13 +613,12 @@ let decide_umount t ?(phase = Phase.initial) (st : Policy_state.t) ~target
                     ~compile:(fun rules ->
                       Compile.umount (List.map filter_rule rules))
                 in
-                run t.umount_stats p
-                  (Compile.umount_ctx ~phase:ph ~target ~mounted_by ~ruid)
+                run t.umount_stats p ctx
           in
           t.last_engine <- engine_name t;
           let v = tally t.umount_stats v in
           let e = deny_errno Errno.EPERM v in
-          Decision_cache.add t.dcache t.ch_umount ~subject:ruid ~args ~gens
+          Decision_cache.add t.dcache t.ch_umount ~subject:ruid ~ctx ~gens
             ~verdict:v ~errno:e;
           (v, e,
            if sp then ("engine", Trace.now t.trace - t0) :: stages else stages)
@@ -653,7 +642,7 @@ let decide_bind t ?(phase = Phase.initial) (st : Policy_state.t) ~port ~proto
     && s.s_epoch = Decision_cache.epoch t.dcache
     && s.s_gen = Array.unsafe_get gens 0
     && s.s_sub = uid && s.s_ph = ph && s.s_x = x
-    && (match s.s_args with Some e -> e == exe | None -> false)
+    && s.s_args == exe
   then begin
     Decision_cache.record_hit t.dcache t.ch_bind;
     t.last_engine <- "cache";
@@ -670,11 +659,8 @@ let decide_bind t ?(phase = Phase.initial) (st : Policy_state.t) ~port ~proto
   else begin
     let sp = t.traced && Trace.spans_enabled t.trace in
     let stages = if sp then [ ("slot", Trace.now t.trace - t0) ] else [] in
-    let args =
-      string_of_int ph ^ sep ^ string_of_int port ^ sep
-      ^ Bindconf.proto_to_string proto ^ sep ^ exe
-    in
-    let found = Decision_cache.find t.dcache t.ch_bind ~subject:uid ~args ~gens in
+    let ctx = Compile.bind_ctx ~phase:ph ~port ~proto ~exe ~uid in
+    let found = Decision_cache.find t.dcache t.ch_bind ~subject:uid ~ctx ~gens in
     let stages = if sp then ("table", Trace.now t.trace - t0) :: stages else stages in
     let v, errno, stages =
       match found with
@@ -691,13 +677,12 @@ let decide_bind t ?(phase = Phase.initial) (st : Policy_state.t) ~port ~proto
                   fetch t.bind_cache t.bind_stats ~same:( == )
                     ~key:st.Policy_state.binds ~compile:(fun b -> Compile.bind b)
                 in
-                run t.bind_stats p
-                  (Compile.bind_ctx ~phase:ph ~port ~proto ~exe ~uid)
+                run t.bind_stats p ctx
           in
           t.last_engine <- engine_name t;
           let v = tally t.bind_stats v in
           let e = deny_errno Errno.EACCES v in
-          Decision_cache.add t.dcache t.ch_bind ~subject:uid ~args ~gens
+          Decision_cache.add t.dcache t.ch_bind ~subject:uid ~ctx ~gens
             ~verdict:v ~errno:e;
           (v, e,
            if sp then ("engine", Trace.now t.trace - t0) :: stages else stages)
@@ -720,9 +705,8 @@ let decide_ppp_ioctl t ?(subject = 0) ?(phase = Phase.initial)
     && s.s_epoch = Decision_cache.epoch t.dcache
     && s.s_gen = Array.unsafe_get gens 0
     && s.s_sub = subject && s.s_ph = ph
-    && (match s.s_args with
-        | Some (dv, op) -> dv == device && op == opt
-        | None -> false)
+    && (let dv, op = s.s_args in
+        dv == device && op == opt)
   then begin
     Decision_cache.record_hit t.dcache t.ch_ppp;
     t.last_engine <- "cache";
@@ -739,11 +723,8 @@ let decide_ppp_ioctl t ?(subject = 0) ?(phase = Phase.initial)
   else begin
     let sp = t.traced && Trace.spans_enabled t.trace in
     let stages = if sp then [ ("slot", Trace.now t.trace - t0) ] else [] in
-    let args =
-      string_of_int ph ^ sep ^ device ^ sep
-      ^ (if Protego_net.Ppp.option_is_safe opt then "1" else "0")
-    in
-    let found = Decision_cache.find t.dcache t.ch_ppp ~subject ~args ~gens in
+    let ctx = Compile.ppp_ctx ~phase:ph ~device ~opt in
+    let found = Decision_cache.find t.dcache t.ch_ppp ~subject ~ctx ~gens in
     let stages = if sp then ("table", Trace.now t.trace - t0) :: stages else stages in
     let v, errno, stages =
       match found with
@@ -761,12 +742,12 @@ let decide_ppp_ioctl t ?(subject = 0) ?(phase = Phase.initial)
                     ~key:st.Policy_state.ppp
                     ~compile:(fun pol -> Compile.ppp_ioctl pol)
                 in
-                run t.ppp_stats p (Compile.ppp_ctx ~phase:ph ~device ~opt)
+                run t.ppp_stats p ctx
           in
           t.last_engine <- engine_name t;
           let v = tally t.ppp_stats v in
           let e = deny_errno Errno.EPERM v in
-          Decision_cache.add t.dcache t.ch_ppp ~subject ~args ~gens ~verdict:v
+          Decision_cache.add t.dcache t.ch_ppp ~subject ~ctx ~gens ~verdict:v
             ~errno:e;
           (v, e,
            if sp then ("engine", Trace.now t.trace - t0) :: stages else stages)
@@ -788,9 +769,8 @@ let decide_nf_output t nf pkt ~origin =
     Decision_cache.enabled t.dcache
     && s.s_epoch = Decision_cache.epoch t.dcache
     && s.s_gen = Array.unsafe_get gens 0
-    && (match s.s_args with
-        | Some (p0, o0) -> p0 == pkt && o0 = origin
-        | None -> false)
+    && (let p0, o0 = s.s_args in
+        p0 == pkt && o0 = origin)
   then begin
     Decision_cache.record_hit t.dcache t.ch_nf;
     t.last_engine <- "cache";
@@ -807,22 +787,9 @@ let decide_nf_output t nf pkt ~origin =
     let sp = t.traced && Trace.spans_enabled t.trace in
     let stages = if sp then [ ("slot", Trace.now t.trace - t0) ] else [] in
     (* packet_ctx is the canonical integer encoding of everything the chain
-       can match on; reuse it as the cache key. *)
+       can match on: the memo key and the engine input alike. *)
     let ctx = Compile.packet_ctx pkt ~origin in
-    (* Rendering the key string costs more than a short program run;
-       skip it entirely while the cache is off (find/add would ignore
-       it anyway) rather than taxing every engine decision with it. *)
-    let cache_on = Decision_cache.enabled t.dcache in
-    let args =
-      if cache_on then
-        String.concat sep (List.map string_of_int (Array.to_list ctx.Pfm.ints))
-      else ""
-    in
-    let found =
-      if cache_on then
-        Decision_cache.find t.dcache t.ch_nf ~subject:0 ~args ~gens
-      else None
-    in
+    let found = Decision_cache.find t.dcache t.ch_nf ~subject:0 ~ctx ~gens in
     let stages = if sp then ("table", Trace.now t.trace - t0) :: stages else stages in
     let v, stages =
       match found with
@@ -847,7 +814,7 @@ let decide_nf_output t nf pkt ~origin =
           in
           t.last_engine <- engine_name t;
           let v = tally t.nf_stats v in
-          Decision_cache.add t.dcache t.ch_nf ~subject:0 ~args ~gens ~verdict:v
+          Decision_cache.add t.dcache t.ch_nf ~subject:0 ~ctx ~gens ~verdict:v
             ~errno:None;
           (v, if sp then ("engine", Trace.now t.trace - t0) :: stages else stages)
     in

@@ -4,8 +4,8 @@
     Each filtered hook (mount, umount, bind, netfilter output, ppp ioctl)
     asks the dispatcher for a verdict.  The lookup order is {e decision
     cache -> compiled PFM -> reference engine}: a {!Decision_cache} memo
-    keyed on (hook, subject credential key, canonicalized argument tuple)
-    is consulted first; on a miss, under the [`Pfm] engine (the default)
+    keyed on (hook, subject credential key, the hook's PFM context) is
+    consulted first; on a miss, under the [`Pfm] engine (the default)
     the dispatcher compiles the hook's policy source into a bytecode
     program, caches it, and evaluates it; under [`Ref] it runs the
     original list-walking decision ({!Policy_state.mount_decision} and

@@ -10,10 +10,11 @@
 #            bench regression gate (with tuned_* knobs asserted in the
 #            report), journal artifact verification, the cache/
 #            equivalence/plane/journal/sim stress suites, both seeded
-#            simulation sweeps, the plane scaling smoke and the
+#            simulation sweeps, the plane scaling smoke, the
 #            protego-synth record->synthesize->verify closed loop (fresh
-#            recording + the committed fixture pair).  Runs once, gated
-#            on the fast jobs.
+#            recording + the committed fixture pair) and a short
+#            perfbench run of every workload with its outcome check.
+#            Runs once, gated on the fast jobs.
 #
 # With no argument both tiers run back to back (local use).
 set -eu
@@ -199,6 +200,25 @@ full_tier() {
     ./_build/default/bin/synth.exe verify \
         --journal examples/policies/synth/RECORD.bin \
         --dir examples/policies/synth
+
+    # The repository benchmark, two seconds per workload: a smoke run,
+    # not a measurement.  perfbench checks every operation's outcome
+    # against the reference semantics; the last line of its output is a
+    # JSON result whose "correct" flag must be true.
+    echo "==> perfbench smoke (every workload, outcomes checked)"
+    for w in syscalls plane-hot plane-churn journal-replay; do
+        out=$(python3 perfbench/run.py --workload "$w" --seed 1 \
+                --seconds 2 --trace 0) || {
+            echo "CI: perfbench $w did not complete" >&2
+            exit 1
+        }
+        result=$(echo "$out" | tail -n 1)
+        echo "$result" | grep -q '"correct": true' || {
+            echo "CI: perfbench $w reported incorrect outcomes: $result" >&2
+            exit 1
+        }
+        echo "perfbench $w: correct"
+    done
 }
 
 case "$mode" in

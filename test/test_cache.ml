@@ -33,23 +33,26 @@ let starts_with haystack prefix =
 
 (* --- the table itself --------------------------------------------------- *)
 
+(* A one-string PFM context, the table's key in these tests. *)
+let key s = { Pfm.ints = [||]; strs = [| s |] }
+
 let test_lru_eviction () =
   let c = DC.create ~capacity:2 () in
   let h = DC.register c "mount" in
   let gens = [| 0 |] in
-  DC.add c h ~subject:0 ~args:"a" ~gens ~verdict:Pfm.Allow ~errno:None;
-  DC.add c h ~subject:0 ~args:"b" ~gens ~verdict:Pfm.Allow ~errno:None;
+  DC.add c h ~subject:0 ~ctx:(key "a") ~gens ~verdict:Pfm.Allow ~errno:None;
+  DC.add c h ~subject:0 ~ctx:(key "b") ~gens ~verdict:Pfm.Allow ~errno:None;
   check_int "at capacity" 2 (DC.length c);
   (* A hit refreshes recency: touching "a" makes "b" the LRU victim. *)
-  check "a hits" true (DC.find c h ~subject:0 ~args:"a" ~gens <> None);
-  DC.add c h ~subject:0 ~args:"c" ~gens ~verdict:Pfm.Deny ~errno:None;
+  check "a hits" true (DC.find c h ~subject:0 ~ctx:(key "a") ~gens <> None);
+  DC.add c h ~subject:0 ~ctx:(key "c") ~gens ~verdict:Pfm.Deny ~errno:None;
   check_int "one capacity eviction" 1 (DC.capacity_evictions c);
   check_int "still at capacity" 2 (DC.length c);
-  check "b was the victim" true (DC.find c h ~subject:0 ~args:"b" ~gens = None);
-  check "a survived" true (DC.find c h ~subject:0 ~args:"a" ~gens <> None);
-  check "c resident" true (DC.find c h ~subject:0 ~args:"c" ~gens <> None);
+  check "b was the victim" true (DC.find c h ~subject:0 ~ctx:(key "b") ~gens = None);
+  check "a survived" true (DC.find c h ~subject:0 ~ctx:(key "a") ~gens <> None);
+  check "c resident" true (DC.find c h ~subject:0 ~ctx:(key "c") ~gens <> None);
   (* Re-adding a resident key refreshes in place, no eviction. *)
-  DC.add c h ~subject:0 ~args:"a" ~gens ~verdict:Pfm.Deny ~errno:None;
+  DC.add c h ~subject:0 ~ctx:(key "a") ~gens ~verdict:Pfm.Deny ~errno:None;
   check_int "refresh is not an insert" 1 (DC.capacity_evictions c);
   check_int "size unchanged" 2 (DC.length c)
 
@@ -57,54 +60,54 @@ let test_negative_caching () =
   let c = DC.create () in
   let h = DC.register c "bind" in
   let gens = [| 5 |] in
-  DC.add c h ~subject:8 ~args:"k" ~gens ~verdict:Pfm.Deny
+  DC.add c h ~subject:8 ~ctx:(key "k") ~gens ~verdict:Pfm.Deny
     ~errno:(Some Errno.EACCES);
-  (match DC.find c h ~subject:8 ~args:"k" ~gens with
+  (match DC.find c h ~subject:8 ~ctx:(key "k") ~gens with
   | Some (Pfm.Deny, Some e) ->
       Alcotest.check errno "denial errno served" Errno.EACCES e
   | _ -> Alcotest.fail "negative result not cached");
-  DC.add c h ~subject:8 ~args:"ok" ~gens ~verdict:Pfm.Allow ~errno:None;
-  (match DC.find c h ~subject:8 ~args:"ok" ~gens with
+  DC.add c h ~subject:8 ~ctx:(key "ok") ~gens ~verdict:Pfm.Allow ~errno:None;
+  (match DC.find c h ~subject:8 ~ctx:(key "ok") ~gens with
   | Some (Pfm.Allow, None) -> ()
   | _ -> Alcotest.fail "positive result not cached");
   (* Subjects are part of the key. *)
   check "other subject misses" true
-    (DC.find c h ~subject:9 ~args:"k" ~gens = None)
+    (DC.find c h ~subject:9 ~ctx:(key "k") ~gens = None)
 
 let test_generation_staleness () =
   let c = DC.create () in
   let h = DC.register c "mount" in
-  DC.add c h ~subject:0 ~args:"k" ~gens:[| 3 |] ~verdict:Pfm.Allow ~errno:None;
+  DC.add c h ~subject:0 ~ctx:(key "k") ~gens:[| 3 |] ~verdict:Pfm.Allow ~errno:None;
   check "fresh generation hits" true
-    (DC.find c h ~subject:0 ~args:"k" ~gens:[| 3 |] <> None);
+    (DC.find c h ~subject:0 ~ctx:(key "k") ~gens:[| 3 |] <> None);
   (* A bumped generation is a miss AND evicts the stale entry. *)
   check "stale generation misses" true
-    (DC.find c h ~subject:0 ~args:"k" ~gens:[| 4 |] = None);
+    (DC.find c h ~subject:0 ~ctx:(key "k") ~gens:[| 4 |] = None);
   check_int "stale eviction counted" 1 (DC.stale_evictions c);
   check_int "stale lookup counts as a miss" 1 (DC.misses c);
   check_int "entry gone" 0 (DC.length c);
   (* The entry was dropped, so the next lookup is a plain miss. *)
   check "second lookup plain miss" true
-    (DC.find c h ~subject:0 ~args:"k" ~gens:[| 4 |] = None);
+    (DC.find c h ~subject:0 ~ctx:(key "k") ~gens:[| 4 |] = None);
   check_int "no second stale eviction" 1 (DC.stale_evictions c);
   check_int "but a second miss" 2 (DC.misses c);
   (* The caller may reuse its gens array: insertion must copy it. *)
   let gens = [| 7 |] in
-  DC.add c h ~subject:0 ~args:"r" ~gens ~verdict:Pfm.Allow ~errno:None;
+  DC.add c h ~subject:0 ~ctx:(key "r") ~gens ~verdict:Pfm.Allow ~errno:None;
   gens.(0) <- 8;
   check "entry stamped with insertion-time gens" true
-    (DC.find c h ~subject:0 ~args:"r" ~gens:[| 7 |] <> None)
+    (DC.find c h ~subject:0 ~ctx:(key "r") ~gens:[| 7 |] <> None)
 
 let test_enable_off_bypass () =
   let c = DC.create () in
   let h = DC.register c "ppp_ioctl" in
   let gens = [| 0 |] in
-  DC.add c h ~subject:0 ~args:"k" ~gens ~verdict:Pfm.Allow ~errno:None;
-  ignore (DC.find c h ~subject:0 ~args:"k" ~gens);
+  DC.add c h ~subject:0 ~ctx:(key "k") ~gens ~verdict:Pfm.Allow ~errno:None;
+  ignore (DC.find c h ~subject:0 ~ctx:(key "k") ~gens);
   DC.set_enabled c false;
   check "disabled lookups miss" true
-    (DC.find c h ~subject:0 ~args:"k" ~gens = None);
-  DC.add c h ~subject:0 ~args:"new" ~gens ~verdict:Pfm.Deny ~errno:None;
+    (DC.find c h ~subject:0 ~ctx:(key "k") ~gens = None);
+  DC.add c h ~subject:0 ~ctx:(key "new") ~gens ~verdict:Pfm.Deny ~errno:None;
   (* A pure bypass: no insert, no counter movement. *)
   check_int "no insert while disabled" 1 (DC.length c);
   check_int "hits untouched" 1 (DC.hits c);
@@ -113,7 +116,7 @@ let test_enable_off_bypass () =
   (* Entries cached before the bypass are still valid afterwards: their
      generation stamps, not the toggle, decide freshness. *)
   check "entry servable after re-enable" true
-    (DC.find c h ~subject:0 ~args:"k" ~gens <> None)
+    (DC.find c h ~subject:0 ~ctx:(key "k") ~gens <> None)
 
 let test_register_and_reset () =
   let c = DC.create ~capacity:4 () in
@@ -122,9 +125,9 @@ let test_register_and_reset () =
   check "registration is idempotent" true (hm == hm');
   let hb = DC.register c "bind" in
   check_int "dense ids" 1 hb.DC.hid;
-  DC.add c hm ~subject:0 ~args:"x" ~gens:[| 0 |] ~verdict:Pfm.Allow ~errno:None;
-  ignore (DC.find c hm ~subject:0 ~args:"x" ~gens:[| 0 |]);
-  ignore (DC.find c hb ~subject:0 ~args:"y" ~gens:[| 0 |]);
+  DC.add c hm ~subject:0 ~ctx:(key "x") ~gens:[| 0 |] ~verdict:Pfm.Allow ~errno:None;
+  ignore (DC.find c hm ~subject:0 ~ctx:(key "x") ~gens:[| 0 |]);
+  ignore (DC.find c hb ~subject:0 ~ctx:(key "y") ~gens:[| 0 |]);
   check_str "render"
     "cache on capacity 4 entries 1\n\
      hits 1 misses 1 stale 0 evicted 0\n\
@@ -220,6 +223,145 @@ let test_dispatch_disable_bypasses () =
   check_int "no counters while disabled" 0 (DC.hits dc + DC.misses dc);
   check_int "both evals reached the filter machine" 2
     (List.assoc "mount" (PD.stats disp)).PD.evals
+
+(* --- memo keys are exact ------------------------------------------------- *)
+
+module Plane = Protego_plane.Plane
+module Netfilter = Protego_net.Netfilter
+module Packet = Protego_net.Packet
+module Ipaddr = Protego_net.Ipaddr
+
+(* Joined with a US (0x1f) separator, the whitelisted triple
+   (a, b<US>c, d) and the request (a<US>b, c, d) render the same key.
+   Memo keys compare the PFM context field by field, so the allow cached
+   for the first must never be served to the second. *)
+let us_state () =
+  let st = PS.create () in
+  (match PS.parse_mounts "allow a b\x1fc d nosuid user\n" with
+   | Ok rules -> st.PS.mounts <- rules
+   | Error e -> Alcotest.fail ("whitelist refused: " ^ e));
+  st
+
+let us_mount source target =
+  Plane.Mount
+    { subject = 1000; source; target; fstype = "d"; flags = [ Mf_nosuid ] }
+
+let us_allowed = us_mount "a" "b\x1fc"
+let us_shifted = us_mount "a\x1fb" "c"
+
+let oracle_checks st =
+  check "the rule allows its own triple" true (Plane.request_oracle st us_allowed);
+  check "the shifted triple is denied" false (Plane.request_oracle st us_shifted)
+
+let request_label = function
+  | Plane.Mount { source; target; _ } ->
+      Printf.sprintf "mount %S %S" source target
+  | Plane.Umount _ | Plane.Bind _ | Plane.Ppp_ioctl _ -> "other"
+
+let test_dispatch_key_exact () =
+  let st = us_state () in
+  oracle_checks st;
+  let disp = PD.create () in
+  List.iter
+    (fun req ->
+      match req with
+      | Plane.Mount { subject; source; target; fstype; flags } ->
+          check ("dispatch " ^ request_label req)
+            (Plane.request_oracle st req)
+            (PD.decide_mount disp ~subject st ~source ~target ~fstype ~flags)
+      | Plane.Umount _ | Plane.Bind _ | Plane.Ppp_ioctl _ -> assert false)
+    [ us_allowed; us_shifted; us_allowed; us_shifted ]
+
+let test_plane_key_exact () =
+  let st = us_state () in
+  oracle_checks st;
+  let p = Plane.create st in
+  List.iter
+    (fun req ->
+      check ("plane " ^ request_label req)
+        (Plane.request_oracle st req)
+        ((Plane.decide p req).Plane.o_verdict = Pfm.Allow))
+    [ us_allowed; us_shifted; us_allowed; us_shifted ];
+  (* The same stream through a journaled run: outcomes and the audit
+     trail stitched back from the journal must both follow the oracle. *)
+  let p = Plane.create st in
+  let reqs = [| us_allowed; us_shifted; us_allowed; us_shifted |] in
+  let rr = Plane.run p reqs in
+  Array.iteri
+    (fun i req ->
+      let want = Plane.request_oracle st req in
+      let label = Printf.sprintf "run #%d %s" i (request_label req) in
+      check (label ^ " outcome") want
+        (rr.Plane.rr_outcomes.(i).Plane.o_verdict = Pfm.Allow);
+      check (label ^ " journaled") want rr.Plane.rr_audit.(i).Plane.a_allowed)
+    reqs
+
+(* --- allocation on the warm path ----------------------------------------- *)
+
+(* Minor words allocated per call of [f] over [n] calls.  The two
+   [Gc.minor_words] reads box one float between them, which spreads to
+   well under a word per call. *)
+let words_per_call n f =
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do f i done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let warm_calls = 10_000
+
+(* Two interned requests of one hook, alternated: each call misses the
+   one-entry front slot (it holds the other request) and hits the memo
+   table.  A memo hit may allocate the PFM context and the outcome, no
+   key string. *)
+let test_plane_alloc () =
+  let st = us_state () in
+  let p = Plane.create st in
+  let reqs = [| us_allowed; us_shifted |] in
+  let run = Plane.sim_begin p in
+  Array.iter (fun r -> ignore (Plane.decide_on p ~worker:0 r)) reqs;
+  let evals () =
+    List.fold_left (fun acc (_, h) -> acc + h.Plane.ht_evals) 0
+      (Plane.hook_stats p)
+  in
+  let evals0 = evals () in
+  let w =
+    words_per_call warm_calls (fun i ->
+        ignore (Plane.decide_on p ~worker:0 reqs.(i land 1)))
+  in
+  check_int "every warm call was a memo hit" evals0 (evals ());
+  check (Printf.sprintf "memo-hit decide_on allocates <= 20 words (%.2f)" w)
+    true (w <= 20.);
+  let o = Plane.decide_on p ~worker:0 us_allowed in
+  let w =
+    words_per_call warm_calls (fun i ->
+        Plane.journal_decision p ~worker:0 ~run ~seq:i us_allowed o)
+  in
+  Plane.sim_end p;
+  check (Printf.sprintf "journal_decision allocates nothing (%.4f)" w) true
+    (w < 0.01)
+
+let test_nf_alloc () =
+  let disp = PD.create () in
+  let nf = Netfilter.create ~output_policy:Netfilter.Accept () in
+  Netfilter.append nf Netfilter.Output
+    { Netfilter.matches = [ Netfilter.Dst_port { lo = 25; hi = 25 } ];
+      target = Netfilter.Drop; comment = "" };
+  let pkt dport =
+    { Packet.src = Ipaddr.v 10 0 0 2; dst = Ipaddr.v 8 8 8 8; ttl = 64;
+      transport =
+        Packet.Udp_dgram { src_port = 5353; dst_port = dport; payload = "" } }
+  in
+  let pkts = [| pkt 25; pkt 53 |] in
+  let decide i =
+    PD.decide_nf_output disp nf pkts.(i land 1) ~origin:Packet.Kernel_stack
+  in
+  ignore (decide 0);
+  ignore (decide 1);
+  let evals0 = (List.assoc "nf_output" (PD.stats disp)).PD.evals in
+  let w = words_per_call warm_calls (fun i -> ignore (decide i)) in
+  check_int "every warm call was a memo hit" evals0
+    (List.assoc "nf_output" (PD.stats disp)).PD.evals;
+  check (Printf.sprintf "memo-hit decide_nf_output allocates <= 20 words (%.2f)" w)
+    true (w <= 20.)
 
 (* --- /proc/protego/cache_stats ------------------------------------------ *)
 
@@ -381,7 +523,15 @@ let suites =
         Alcotest.test_case "reset kills the front slot" `Quick
           test_dispatch_reset_kills_front_slot;
         Alcotest.test_case "disable bypasses" `Quick
-          test_dispatch_disable_bypasses ]);
+          test_dispatch_disable_bypasses;
+        Alcotest.test_case "US in an argument never aliases a key" `Quick
+          test_dispatch_key_exact;
+        Alcotest.test_case "plane memo keys are exact" `Quick
+          test_plane_key_exact ]);
+    ("cache:alloc",
+      [ Alcotest.test_case "plane memo hit and journal append" `Quick
+          test_plane_alloc;
+        Alcotest.test_case "nf_output memo hit" `Quick test_nf_alloc ]);
     ("cache:proc",
       [ Alcotest.test_case "/proc/protego/cache_stats" `Quick
           test_cache_stats_proc ]);

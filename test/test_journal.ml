@@ -28,13 +28,13 @@ let contains hay needle =
 let test_roundtrip () =
   let j = J.create () in
   let tm = J.term j ~domain:3 in
-  J.append_mount tm ~seq:0 ~run:1 ~epoch:2 ~subject:1000 ~verdict:1 ~errno:0
+  J.append_mount tm ~phase:J.no_phase ~seq:0 ~run:1 ~epoch:2 ~subject:1000 ~verdict:1 ~errno:0
     ~source:"/dev/cdrom" ~target:"/media/cdrom" ~fstype:"iso9660" ~flags:0xb;
-  J.append_umount tm ~seq:1 ~run:1 ~epoch:2 ~subject:1001 ~verdict:0
+  J.append_umount tm ~phase:J.no_phase ~seq:1 ~run:1 ~epoch:2 ~subject:1001 ~verdict:0
     ~errno:(Errno.to_code Errno.EPERM) ~target:"/media/usb" ~mounted_by:7;
-  J.append_bind tm ~seq:2 ~run:1 ~epoch:3 ~subject:25 ~verdict:0
+  J.append_bind tm ~phase:J.no_phase ~seq:2 ~run:1 ~epoch:3 ~subject:25 ~verdict:0
     ~errno:(Errno.to_code Errno.EACCES) ~port:25 ~proto:1 ~exe:"/usr/sbin/smtpd";
-  J.append_ppp tm ~seq:3 ~run:1 ~epoch:3 ~subject:8 ~verdict:1 ~errno:0
+  J.append_ppp tm ~phase:J.no_phase ~seq:3 ~run:1 ~epoch:3 ~subject:8 ~verdict:1 ~errno:0
     ~device:"/dev/ttyS0" ~safe:true;
   J.append_kaudit tm ~time:42. ~pid:99 ~uid:1000 ~op:"mount" ~obj:"x"
     ~allowed:false ~engine:(Some "pfm") ~span:(Some 5);
@@ -75,7 +75,7 @@ let test_roundtrip () =
   | _ -> Alcotest.fail "unexpected entry shapes");
   (* Strings cap at 255 bytes on the wire. *)
   let long = String.make 400 'a' in
-  J.append_umount tm ~seq:4 ~run:1 ~epoch:3 ~subject:0 ~verdict:1 ~errno:0
+  J.append_umount tm ~phase:J.no_phase ~seq:4 ~run:1 ~epoch:3 ~subject:0 ~verdict:1 ~errno:0
     ~target:long ~mounted_by:0;
   match List.rev (J.entries j) with
   | J.Decision { J.d_req = J.Umount { target; _ }; _ } :: _ ->
@@ -89,7 +89,7 @@ let test_torn_tail () =
   let j = J.create ~seg_bytes:4096 ~segments:4 () in
   let tm = J.term j ~domain:0 in
   let app seq =
-    J.append_ppp tm ~seq ~run:0 ~epoch:0 ~subject:1 ~verdict:1 ~errno:0
+    J.append_ppp tm ~phase:J.no_phase ~seq ~run:0 ~epoch:0 ~subject:1 ~verdict:1 ~errno:0
       ~device:"/dev/ttyS0" ~safe:true
   in
   app 0;
@@ -123,7 +123,7 @@ let test_segment_boundary () =
      padding record the reader must skip. *)
   let n = 200 in
   for seq = 0 to n - 1 do
-    J.append_mount tm ~seq ~run:0 ~epoch:0 ~subject:seq ~verdict:1 ~errno:0
+    J.append_mount tm ~phase:J.no_phase ~seq ~run:0 ~epoch:0 ~subject:seq ~verdict:1 ~errno:0
       ~source:"/dev/wl00" ~target:"/media/wl00" ~fstype:"ext4" ~flags:0
   done;
   let st = J.stats j in
@@ -149,7 +149,7 @@ let test_wraparound () =
   let n = 2_000 in
   (* ~48B per record * 2000 >> 16KiB capacity: several full laps. *)
   for seq = 0 to n - 1 do
-    J.append_umount tm ~seq ~run:0 ~epoch:0 ~subject:seq ~verdict:0
+    J.append_umount tm ~phase:J.no_phase ~seq ~run:0 ~epoch:0 ~subject:seq ~verdict:0
       ~errno:(Errno.to_code Errno.EPERM) ~target:"/media/none" ~mounted_by:1
   done;
   let st = J.stats j in
@@ -185,7 +185,7 @@ let test_term_capacity () =
   | _ -> Alcotest.fail "fifth term on four segments must be rejected");
   (* Retiring a term frees its slot — and folds its counters into the
      journal-wide totals instead of losing them. *)
-  J.append_ppp terms.(0) ~seq:0 ~run:0 ~epoch:0 ~subject:1 ~verdict:1
+  J.append_ppp terms.(0) ~phase:J.no_phase ~seq:0 ~run:0 ~epoch:0 ~subject:1 ~verdict:1
     ~errno:0 ~device:"/dev/ttyS0" ~safe:true;
   J.retire terms.(0);
   let st = J.stats j in
@@ -194,7 +194,7 @@ let test_term_capacity () =
   check_bool "retired remainder padded out" true (st.J.s_padding >= 1);
   check_int "retired record still decodes" 1 (J.live_entries j);
   let tm = J.term j ~domain:4 in
-  J.append_ppp tm ~seq:1 ~run:0 ~epoch:0 ~subject:1 ~verdict:1 ~errno:0
+  J.append_ppp tm ~phase:J.no_phase ~seq:1 ~run:0 ~epoch:0 ~subject:1 ~verdict:1 ~errno:0
     ~device:"/dev/ttyS1" ~safe:true;
   check_int "freed slot reusable" 2 (J.live_entries j)
 
@@ -203,14 +203,14 @@ let test_writer_overrun () =
   let a = J.term j ~domain:0 in
   let b = J.term j ~domain:1 in
   (* A claims physical segment 0 and stalls. *)
-  J.append_ppp a ~seq:0 ~run:0 ~epoch:0 ~subject:1 ~verdict:1 ~errno:0
+  J.append_ppp a ~phase:J.no_phase ~seq:0 ~run:0 ~epoch:0 ~subject:1 ~verdict:1 ~errno:0
     ~device:"/dev/ttyS0" ~safe:true;
   (* B writes through segments 1..3; its next claim wraps onto physical
      segment 0, which A still owns — the journal must refuse loudly
      rather than zero-fill A's committed records under it. *)
   match
     for seq = 1 to 10_000 do
-      J.append_umount b ~seq ~run:0 ~epoch:0 ~subject:seq ~verdict:1
+      J.append_umount b ~phase:J.no_phase ~seq ~run:0 ~epoch:0 ~subject:seq ~verdict:1
         ~errno:0 ~target:"/media/none" ~mounted_by:1
     done
   with
@@ -231,7 +231,7 @@ let test_stitch_terms () =
   for w = 0 to d - 1 do
     let seq = ref w in
     while !seq < n do
-      J.append_bind terms.(w) ~seq:!seq ~run:7 ~epoch:(!seq / 25)
+      J.append_bind terms.(w) ~phase:J.no_phase ~seq:!seq ~run:7 ~epoch:(!seq / 25)
         ~subject:w ~verdict:1 ~errno:0 ~port:(1000 + !seq) ~proto:0
         ~exe:"/usr/sbin/svc0";
       seq := !seq + d
@@ -250,13 +250,13 @@ let test_stitch_terms () =
             Alcotest.failf "epoch stamp lost at %d" i)
         ds);
   (* Records of other runs are invisible to the stitch. *)
-  J.append_bind terms.(0) ~seq:0 ~run:8 ~epoch:4 ~subject:0 ~verdict:0
+  J.append_bind terms.(0) ~phase:J.no_phase ~seq:0 ~run:8 ~epoch:4 ~subject:0 ~verdict:0
     ~errno:(Errno.to_code Errno.EACCES) ~port:2000 ~proto:1 ~exe:"/bin/x";
   (match J.stitch j ~run:7 ~base:0 ~count:n with
   | Error e -> Alcotest.failf "stitch polluted by another run: %s" e
   | Ok ds -> check_int "still the full run" n (Array.length ds));
   (* A duplicate sequence stamp is an error, not a silent overwrite. *)
-  J.append_bind terms.(1) ~seq:5 ~run:7 ~epoch:0 ~subject:1 ~verdict:1
+  J.append_bind terms.(1) ~phase:J.no_phase ~seq:5 ~run:7 ~epoch:0 ~subject:1 ~verdict:1
     ~errno:0 ~port:1005 ~proto:0 ~exe:"/usr/sbin/svc0";
   (match J.stitch j ~run:7 ~base:0 ~count:n with
   | Error e -> check_bool "duplicate reported" true (contains e "duplicate")
@@ -266,13 +266,79 @@ let test_stitch_terms () =
   | Error e -> check_bool "loss reported" true (contains e "lost")
   | Ok _ -> Alcotest.fail "missing seq must fail the stitch"
 
+(* --- phase stamps ----------------------------------------------------------- *)
+
+(* The appenders write a decision's "<phase>US" stamp in place.  The
+   oracle is the string the stamp used to be built as before appending,
+   kept here verbatim: both paths must produce the same bytes, including
+   where the stamped string crosses the 255-byte truncation. *)
+let old_stamp ph s = string_of_int ph ^ "\x1f" ^ s
+
+let stamp_lengths = [ 0; 1; 252; 253; 254; 255; 300 ]
+
+let journal_image j =
+  let path = Filename.temp_file "protego_journal" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      J.save j path;
+      In_channel.with_open_bin path In_channel.input_all)
+
+(* One record of each decision kind, with [s] as the request string the
+   stamp goes on. *)
+let append_all_kinds tm ~phase s =
+  J.append_mount tm ~seq:0 ~run:1 ~epoch:2 ~subject:1000 ~verdict:1 ~errno:0
+    ~phase ~source:s ~target:"/media/cdrom" ~fstype:"iso9660" ~flags:0xb;
+  J.append_umount tm ~seq:1 ~run:1 ~epoch:2 ~subject:1001 ~verdict:0
+    ~errno:(Errno.to_code Errno.EPERM) ~phase ~target:s ~mounted_by:7;
+  J.append_bind tm ~seq:2 ~run:1 ~epoch:3 ~subject:25 ~verdict:0
+    ~errno:(Errno.to_code Errno.EACCES) ~phase ~port:25 ~proto:1 ~exe:s;
+  J.append_ppp tm ~seq:3 ~run:1 ~epoch:3 ~subject:8 ~verdict:1 ~errno:0
+    ~phase ~device:s ~safe:true
+
+let stamped_field (d : J.decision) =
+  match d.J.d_req with
+  | J.Mount { source; _ } -> source
+  | J.Umount { target; _ } -> target
+  | J.Bind { exe; _ } -> exe
+  | J.Ppp { device; _ } -> device
+
+let test_phase_stamp_bytes () =
+  List.iter
+    (fun ph ->
+      List.iter
+        (fun len ->
+          let s = String.init len (fun i -> Char.chr (97 + (i mod 26))) in
+          let label = Printf.sprintf "phase %d, %d bytes" ph len in
+          let fresh () =
+            let j = J.create ~seg_bytes:4096 ~segments:1 () in
+            (j, J.term j ~domain:0)
+          in
+          let j_new, tm = fresh () in
+          append_all_kinds tm ~phase:ph s;
+          let j_old, tm = fresh () in
+          append_all_kinds tm ~phase:J.no_phase (old_stamp ph s);
+          Alcotest.(check string) (label ^ ": same bytes") (journal_image j_old)
+            (journal_image j_new);
+          let want = String.sub s 0 (min len (255 - 2)) in
+          let ds = J.decisions j_new in
+          check_int (label ^ ": four records") 4 (List.length ds);
+          List.iter
+            (fun d ->
+              let ph', rest = Plane.split_phase (stamped_field d) in
+              check_int (label ^ ": phase reads back") ph ph';
+              Alcotest.(check string) (label ^ ": string reads back") want rest)
+            ds)
+        stamp_lengths)
+    [ 0; 1; 2 ]
+
 (* --- persistence --------------------------------------------------------- *)
 
 let test_save_load () =
   let j = J.create ~seg_bytes:4096 ~segments:4 () in
   let tm = J.term j ~domain:2 in
   for seq = 0 to 499 do
-    J.append_ppp tm ~seq ~run:3 ~epoch:1 ~subject:seq ~verdict:(seq land 1)
+    J.append_ppp tm ~phase:J.no_phase ~seq ~run:3 ~epoch:1 ~subject:seq ~verdict:(seq land 1)
       ~errno:(if seq land 1 = 1 then 0 else Errno.to_code Errno.EPERM)
       ~device:"/dev/ttyS1" ~safe:false
   done;
@@ -531,7 +597,9 @@ let suites =
        Alcotest.test_case "torn tail tolerated" `Quick test_torn_tail;
        Alcotest.test_case "segment boundaries padded" `Quick
          test_segment_boundary;
-       Alcotest.test_case "wraparound at capacity" `Quick test_wraparound ]);
+       Alcotest.test_case "wraparound at capacity" `Quick test_wraparound;
+       Alcotest.test_case "in-place phase stamp is byte-identical" `Quick
+         test_phase_stamp_bytes ]);
     ("journal:backpressure",
      [ Alcotest.test_case "terms capped at segments, retire frees" `Quick
          test_term_capacity;
