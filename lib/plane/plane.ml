@@ -298,10 +298,12 @@ let of_bool b = if b then Pfm.Allow else Pfm.Deny
 let deny_errno e (v : Pfm.verdict) =
   match v with Pfm.Allow -> None | Pfm.Deny | Pfm.Reject -> Some e
 
+(* Programs a publish carried over are [==] across snapshots, so the
+   worker keeps its private clone of those and clones only the rest. *)
 let adopt w snap =
   if snap != w.w_snap then begin
-    w.w_snap <- snap;
-    w.w_progs <- Snapshot.clone_progs snap
+    w.w_progs <- Snapshot.adopt_progs ~prev:w.w_snap w.w_progs snap;
+    w.w_snap <- snap
   end
 
 let refill w hi snap req ~ph ~verdict ~errno =

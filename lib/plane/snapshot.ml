@@ -39,17 +39,38 @@ let copy_state (st : PS.t) =
   c.PS.file_acl <- st.PS.file_acl;
   c
 
-let freeze ~epoch (st : PS.t) =
+(* With [prev], a source's programs carry over from it when the
+   source's frozen generation is unchanged and its field is the very
+   value [prev] compiled ([same]); every other program is compiled. *)
+let build ?prev ~epoch (st : PS.t) =
   let frozen = copy_state st in
   let gens = Array.of_list (List.map (PS.generation st) PS.sources) in
-  let rules = List.map filter_rule frozen.PS.mounts in
-  let progs =
-    { p_mount = Compile.mount rules;
-      p_umount = Compile.umount rules;
-      p_bind = Compile.bind frozen.PS.binds;
-      p_ppp = Compile.ppp_ioctl frozen.PS.ppp }
+  let kept source same =
+    let i = PS.source_index source in
+    match prev with
+    | Some p when gens.(i) = p.gens.(i) && same p.frozen -> Some p.progs
+    | _ -> None
   in
-  { epoch; gens; frozen; progs }
+  let p_mount, p_umount =
+    match kept PS.Mounts (fun f -> f.PS.mounts == frozen.PS.mounts) with
+    | Some p -> (p.p_mount, p.p_umount)
+    | None ->
+        let rules = List.map filter_rule frozen.PS.mounts in
+        (Compile.mount rules, Compile.umount rules)
+  in
+  let p_bind =
+    match kept PS.Binds (fun f -> f.PS.binds == frozen.PS.binds) with
+    | Some p -> p.p_bind
+    | None -> Compile.bind frozen.PS.binds
+  in
+  let p_ppp =
+    match kept PS.Ppp (fun f -> f.PS.ppp == frozen.PS.ppp) with
+    | Some p -> p.p_ppp
+    | None -> Compile.ppp_ioctl frozen.PS.ppp
+  in
+  { epoch; gens; frozen; progs = { p_mount; p_umount; p_bind; p_ppp } }
+
+let freeze ~epoch st = build ~epoch st
 
 let clone_prog (p : Pfm.program) =
   { p with Pfm.counters = Array.make (Array.length p.Pfm.counters) 0;
@@ -60,6 +81,14 @@ let clone_progs t =
     p_umount = clone_prog t.progs.p_umount;
     p_bind = clone_prog t.progs.p_bind;
     p_ppp = clone_prog t.progs.p_ppp }
+
+let adopt_progs ~prev mine t =
+  let keep old cur p = if p == old then cur else clone_prog p in
+  let o = prev.progs and n = t.progs in
+  { p_mount = keep o.p_mount mine.p_mount n.p_mount;
+    p_umount = keep o.p_umount mine.p_umount n.p_umount;
+    p_bind = keep o.p_bind mine.p_bind n.p_bind;
+    p_ppp = keep o.p_ppp mine.p_ppp n.p_ppp }
 
 let gen_for t s = t.gens.(PS.source_index s)
 
@@ -119,7 +148,10 @@ let watch_parity prev (st : PS.t) ~bump =
 let publish pub st =
   let prev = Atomic.get pub.cur in
   watch_parity prev st ~bump:true;
-  let next = freeze ~epoch:(prev.epoch + 1) st in
+  (* Generation plus identity: a bump alone (a /proc rewrite of the
+     same text, the parity bump above, a reload storm) still recompiles
+     its source, so each reload pays for exactly the source it touched. *)
+  let next = build ~prev ~epoch:(prev.epoch + 1) st in
   Atomic.set pub.cur next;
   Hashtbl.replace pub.hist next.epoch next;
   (* Epochs advance by exactly one, so evicting [epoch - hcap] keeps

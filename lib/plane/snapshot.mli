@@ -17,7 +17,9 @@ module Pfm = Protego_filter.Pfm
 
 (** The four compiled programs of the plane-served hooks.  The netfilter
     hook is deliberately absent: its chain lives on the machine, not in
-    [Policy_state], so it stays on the sequential dispatcher. *)
+    [Policy_state], so it stays on the sequential dispatcher.  Each
+    program depends on one source only: mount and umount on [Mounts],
+    bind on [Binds], ppp on [Ppp]. *)
 type progs = {
   p_mount : Pfm.program;
   p_umount : Pfm.program;
@@ -29,19 +31,30 @@ type t = private {
   epoch : int;        (** publication counter, 0 for the initial snapshot *)
   gens : int array;   (** generation vector at freeze, {!PS.source_index} order *)
   frozen : PS.t;      (** private copy of the live state; never mutated *)
-  progs : progs;      (** compiled from [frozen] at freeze time *)
+  progs : progs;
+      (** the compilation of [frozen]: compiled by {!freeze}, or shared
+          with the previous snapshot by {!publish} for the sources whose
+          rules did not change *)
 }
 
 val freeze : epoch:int -> PS.t -> t
 (** Copy the live state's fields (the field values are immutable, so
     aliasing them is a deep-enough copy), snapshot the generation
-    vector, and compile the four programs. *)
+    vector, and compile and verify all four programs from scratch.  The
+    initial snapshot is built this way; tests use it as the oracle a
+    {!publish}ed snapshot's programs must disassemble equal to. *)
 
 val clone_progs : t -> progs
 (** Per-domain copies of the compiled programs: the instruction arrays
     and dispatch tables are shared (read-only under evaluation), the
     mutable execution counters ([counters], [retired]) are fresh, so
     domains never write to a shared program. *)
+
+val adopt_progs : prev:t -> progs -> t -> progs
+(** [adopt_progs ~prev mine t] moves a domain's private clones [mine] of
+    [prev]'s programs over to [t]: a program of [t] that is physically
+    [prev]'s keeps its clone from [mine] (with its counters), every
+    other one is cloned as {!clone_progs} would. *)
 
 val gen_for : t -> PS.source -> int
 (** The frozen generation of one source. *)
@@ -99,13 +112,22 @@ val at_epoch : pub -> int -> t option
     lookups are meant for quiescent replay, not mid-publish racing. *)
 
 val publish : pub -> PS.t -> t
-(** Build-then-swap: freeze [st] at [epoch (current pub) + 1], then
-    atomically replace the pointer.  Returns the new snapshot.  Before
-    freezing, performs the same physical-identity watch the sequential
-    dispatcher does: a watched source (mounts, binds, ppp) whose field
-    changed identity since the previous snapshot without a generation
-    bump gets its generation bumped here, so stale per-domain cache
-    entries can never be served under the new snapshot. *)
+(** Build-then-swap: build the snapshot of [st] at
+    [epoch (current pub) + 1], then atomically replace the pointer.
+    Returns the new snapshot.  Before building, performs the same
+    physical-identity watch the sequential dispatcher does: a watched
+    source (mounts, binds, ppp) whose field changed identity since the
+    previous snapshot without a generation bump gets its generation
+    bumped here, so stale per-domain cache entries can never be served
+    under the new snapshot.
+
+    The build is incremental: a source's programs are taken, physically,
+    from the previous snapshot when the source's generation is unchanged
+    and its field is the very value the previous snapshot froze;
+    otherwise they are compiled and verified as {!freeze} does.  So a
+    reload recompiles exactly the source it touched (a bump without a
+    new value still recompiles it), and the result's programs equal a
+    {!freeze} of the same state. *)
 
 val stale : pub -> PS.t -> bool
 (** Would {!publish} produce a snapshot with a different generation

@@ -13,7 +13,8 @@
 #            simulation sweeps, the plane scaling smoke, the
 #            protego-synth record->synthesize->verify closed loop (fresh
 #            recording + the committed fixture pair) and a short
-#            perfbench run of every workload with its outcome check.
+#            perfbench run of every workload at both trace depths with
+#            its outcome check.
 #            Runs once, gated on the fast jobs.
 #
 # With no argument both tiers run back to back (local use).
@@ -201,23 +202,27 @@ full_tier() {
         --journal examples/policies/synth/RECORD.bin \
         --dir examples/policies/synth
 
-    # The repository benchmark, two seconds per workload: a smoke run,
-    # not a measurement.  perfbench checks every operation's outcome
-    # against the reference semantics; the last line of its output is a
-    # JSON result whose "correct" flag must be true.
-    echo "==> perfbench smoke (every workload, outcomes checked)"
+    # The repository benchmark, two seconds per workload and trace
+    # depth: a smoke run, not a measurement.  --trace 0 is the
+    # end-to-end pass, --trace 1 the per-layer depth replays.
+    # perfbench checks every operation's outcome against the reference
+    # semantics; the last line of its output is a JSON result whose
+    # "correct" flag must be true.
+    echo "==> perfbench smoke (every workload and trace depth, outcomes checked)"
     for w in syscalls plane-hot plane-churn journal-replay; do
-        out=$(python3 perfbench/run.py --workload "$w" --seed 1 \
-                --seconds 2 --trace 0) || {
-            echo "CI: perfbench $w did not complete" >&2
-            exit 1
-        }
-        result=$(echo "$out" | tail -n 1)
-        echo "$result" | grep -q '"correct": true' || {
-            echo "CI: perfbench $w reported incorrect outcomes: $result" >&2
-            exit 1
-        }
-        echo "perfbench $w: correct"
+        for tr in 0 1; do
+            out=$(python3 perfbench/run.py --workload "$w" --seed 1 \
+                    --seconds 2 --trace "$tr") || {
+                echo "CI: perfbench $w --trace $tr did not complete" >&2
+                exit 1
+            }
+            result=$(echo "$out" | tail -n 1)
+            echo "$result" | grep -q '"correct": true' || {
+                echo "CI: perfbench $w --trace $tr reported incorrect outcomes: $result" >&2
+                exit 1
+            }
+            echo "perfbench $w --trace $tr: correct"
+        done
     done
 }
 

@@ -25,6 +25,14 @@ let counter_clock ?(step = 10) () =
     incr c;
     !c * step
 
+(* Minor words allocated per call of [f] over [n] calls.  The two
+   [Gc.minor_words] reads box one float between them, which spreads to
+   well under a word per call. *)
+let words_per_call n f =
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do f i done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
 (* The uncached, unsnapshotted reference verdict straight off the live
    policy state — what every plane decision must agree with as long as
    reloads are semantics-preserving. *)

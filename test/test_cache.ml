@@ -298,13 +298,7 @@ let test_plane_key_exact () =
 
 (* --- allocation on the warm path ----------------------------------------- *)
 
-(* Minor words allocated per call of [f] over [n] calls.  The two
-   [Gc.minor_words] reads box one float between them, which spreads to
-   well under a word per call. *)
-let words_per_call n f =
-  let before = Gc.minor_words () in
-  for i = 0 to n - 1 do f i done;
-  (Gc.minor_words () -. before) /. float_of_int n
+let words_per_call = Test_support.words_per_call
 
 let warm_calls = 10_000
 

@@ -118,6 +118,242 @@ let test_atomic_generations () =
   Domain.join d2;
   check_int "no lost bumps" (2 * bumps) (PS.generation st PS.Mounts)
 
+(* --- incremental publication --------------------------------------------- *)
+
+let prog_list (ps : Snapshot.progs) =
+  [ ("mount", ps.Snapshot.p_mount); ("umount", ps.Snapshot.p_umount);
+    ("bind", ps.Snapshot.p_bind); ("ppp", ps.Snapshot.p_ppp) ]
+
+(* Which of [prev]'s programs [next] recompiled, in [prog_list] order. *)
+let recompiled (prev : Snapshot.t) (next : Snapshot.t) =
+  List.map2
+    (fun (_, p) (_, n) -> p != n)
+    (prog_list prev.Snapshot.progs)
+    (prog_list next.Snapshot.progs)
+
+(* Every program of a published snapshot, reused or not, disassembles
+   exactly as a from-scratch freeze of the same live state. *)
+let check_equals_freeze label st (snap : Snapshot.t) =
+  let fresh = Snapshot.freeze ~epoch:0 st in
+  List.iter2
+    (fun (name, got) (_, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s: %s program equals a fresh freeze" label name)
+        (Pfm.disassemble want) (Pfm.disassemble got))
+    (prog_list snap.Snapshot.progs)
+    (prog_list fresh.Snapshot.progs)
+
+(* Publish once after [change] and check which programs were rebuilt. *)
+let check_sharing label ~change ~expect =
+  let st = fresh_state (spec ()) in
+  let pub = Snapshot.make st in
+  let prev = Snapshot.current pub in
+  change st;
+  let next = Snapshot.publish pub st in
+  Alcotest.(check (list bool))
+    (label ^ ": recompiled mount/umount/bind/ppp") expect
+    (recompiled prev next);
+  check_equals_freeze label st next
+
+let bump source st = PS.bump_generation st source
+
+let test_share_binds () =
+  check_sharing "binds bump" ~change:(bump PS.Binds)
+    ~expect:[ false; false; true; false ]
+
+let test_share_mounts () =
+  check_sharing "mounts bump" ~change:(bump PS.Mounts)
+    ~expect:[ true; true; false; false ]
+
+let test_share_ppp () =
+  check_sharing "ppp bump" ~change:(bump PS.Ppp)
+    ~expect:[ false; false; false; true ]
+
+let test_share_unprogrammed () =
+  check_sharing "delegation bump" ~change:(bump PS.Delegation)
+    ~expect:[ false; false; false; false ];
+  check_sharing "accounts bump" ~change:(bump PS.Accounts)
+    ~expect:[ false; false; false; false ]
+
+let test_share_unannounced () =
+  check_sharing "unannounced binds assignment"
+    ~change:(fun st -> st.PS.binds <- List.tl st.PS.binds)
+    ~expect:[ false; false; true; false ]
+
+(* Programs carried over stay carried over across several publishes,
+   and a snapshot's programs always match its own frozen rules. *)
+let test_share_chain () =
+  let st = fresh_state (spec ()) in
+  let pub = Snapshot.make st in
+  let s0 = Snapshot.current pub in
+  bump PS.Binds st;
+  ignore (Snapshot.publish pub st : Snapshot.t);
+  st.PS.ppp <- { Protego_policy.Pppopts.directives = [] };
+  PS.bump_generation st PS.Ppp;
+  let s2 = Snapshot.publish pub st in
+  check_bool "mount shared across two publishes" true
+    (s0.Snapshot.progs.Snapshot.p_mount == s2.Snapshot.progs.Snapshot.p_mount);
+  check_equals_freeze "after two publishes" st s2;
+  check_equals_freeze "the first snapshot still" s0.Snapshot.frozen s0
+
+(* The publish-cost gate: a reload of the smallest source must not
+   pay for recompiling the others. *)
+let test_publish_alloc () =
+  let st = fresh_state (Workload.default ~seed:7 ()) in
+  let pub = Snapshot.make st in
+  let full =
+    Test_support.words_per_call 20 (fun _ ->
+        ignore (Snapshot.freeze ~epoch:0 st : Snapshot.t))
+  in
+  let ppp_only =
+    Test_support.words_per_call 20 (fun _ ->
+        PS.bump_generation st PS.Ppp;
+        ignore (Snapshot.publish pub st : Snapshot.t))
+  in
+  check_bool
+    (Printf.sprintf
+       "ppp-only publish allocates <= 1/10 of a full freeze (%.0f vs %.0f words)"
+       ppp_only full)
+    true
+    (ppp_only <= full /. 10.)
+
+(* The differential over random interleavings of everything that moves
+   a 1-worker plane: bump-only reloads, announced and unannounced
+   replacements of a source's list, phase steps, and decision batches.
+   Replacement lists are subsets of the installed rules, some of them
+   phase-guarded, so replacements and phase steps change verdicts. *)
+type inc_op =
+  | Bump of PS.source
+  | Replace of PS.source * int   (* list variant, generation bumped *)
+  | Assign of PS.source * int    (* list variant, no bump *)
+  | Step of int                  (* advance the phase of a pool subject *)
+  | Decide of int list           (* pool indices through [Plane.decide] *)
+  | Batch of int list            (* pool indices through [Plane.run] *)
+
+let inc_spec = { (spec ~seed:3 ()) with Workload.rules = 8; pool = 8 }
+
+let inc_pool =
+  lazy (Workload.generate inc_spec ~workers:1).Workload.s_requests
+
+let show_inc_op = function
+  | Bump s -> "bump " ^ PS.source_name s
+  | Replace (s, k) -> Printf.sprintf "replace %s %d" (PS.source_name s) k
+  | Assign (s, k) -> Printf.sprintf "assign %s %d" (PS.source_name s) k
+  | Step i -> Printf.sprintf "step %d" i
+  | Decide is ->
+      "decide " ^ String.concat "," (List.map string_of_int is)
+  | Batch is -> "batch " ^ String.concat "," (List.map string_of_int is)
+
+let gen_inc_ops =
+  let open QCheck.Gen in
+  let pool_len = Array.length (Lazy.force inc_pool) in
+  let idxs = list_size (int_range 1 12) (int_bound (pool_len - 1)) in
+  let listed = oneofl [ PS.Mounts; PS.Binds; PS.Ppp ] in
+  let op =
+    frequency
+      [ (2, map (fun s -> Bump s) (oneofl PS.sources));
+        (2, map2 (fun s k -> Replace (s, k)) listed (int_bound 63));
+        (2, map2 (fun s k -> Assign (s, k)) listed (int_bound 63));
+        (1, map (fun i -> Step i) (int_bound (pool_len - 1)));
+        (3, map (fun is -> Decide is) idxs);
+        (3, map (fun is -> Batch is) idxs) ]
+  in
+  list_size (int_range 1 25) op
+
+(* Variant [k] of a rule list: drop the rules whose bit of [k] is set,
+   and guard every third remaining rule to an early phase. *)
+let variant k xs ~guard =
+  List.filteri (fun i _ -> (k lsr (i mod 6)) land 1 = 0) xs
+  |> List.mapi (fun i x ->
+         match (i + k) mod 3 with
+         | 0 -> guard x (Protego_base.Phase.Upto Protego_base.Phase.Setup)
+         | 1 -> guard x (Protego_base.Phase.Upto Protego_base.Phase.Serving)
+         | _ -> x)
+
+let apply_variant (base : PS.t) (st : PS.t) source k =
+  match source with
+  | PS.Mounts ->
+      st.PS.mounts <-
+        variant k base.PS.mounts ~guard:(fun r g -> { r with PS.mr_phase = g })
+  | PS.Binds ->
+      st.PS.binds <-
+        variant k base.PS.binds ~guard:(fun e g ->
+            { e with Protego_policy.Bindconf.phase = g })
+  | PS.Ppp ->
+      let open Protego_policy.Pppopts in
+      st.PS.ppp <-
+        { directives =
+            variant k base.PS.ppp.directives ~guard:(fun d g ->
+                match d with
+                | Allow_device (dev, _) -> Allow_device (dev, g)
+                | d -> d) }
+  | PS.Delegation | PS.Accounts -> ()
+
+let prop_incremental_differential =
+  QCheck.Test.make ~count:150
+    ~name:"incremental publish: 1-worker plane vs reference oracles"
+    (QCheck.make ~print:(QCheck.Print.list show_inc_op) gen_inc_ops)
+    (fun ops ->
+      let pool = Lazy.force inc_pool in
+      let base = fresh_state inc_spec in
+      let st = fresh_state inc_spec in
+      let plane = Plane.create ~domains:1 st in
+      let phase_of req =
+        Plane.subject_phase plane ~subject:(Plane.subject_of req)
+      in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      List.iter
+        (function
+          | Bump s ->
+              PS.bump_generation st s;
+              ignore (Plane.publish plane : Snapshot.t)
+          | Replace (s, k) ->
+              apply_variant base st s k;
+              PS.bump_generation st s;
+              ignore (Plane.publish plane : Snapshot.t)
+          | Assign (s, k) -> apply_variant base st s k
+          | Step i ->
+              let subject = Plane.subject_of pool.(i) in
+              let ph = Plane.subject_phase plane ~subject in
+              ignore
+                (Plane.set_subject_phase plane ~subject
+                   (Protego_base.Phase.succ ph)
+                  : (unit, string) result)
+          | Decide is ->
+              List.iter
+                (fun i ->
+                  let req = pool.(i) in
+                  let o = Plane.decide plane req in
+                  let want =
+                    Plane.request_oracle ~phase:(phase_of req) st req
+                  in
+                  if (o.Plane.o_verdict = Pfm.Allow) <> want then
+                    fail "decide of pool request %d disagrees with the live oracle" i)
+                is
+          | Batch is ->
+              let reqs = Array.of_list (List.map (fun i -> pool.(i)) is) in
+              let run = Plane.runs plane in
+              let rr = Plane.run plane reqs in
+              Array.iteri
+                (fun j (o : Plane.outcome) ->
+                  match Plane.snapshot_at plane o.Plane.o_epoch with
+                  | None -> fail "batch outcome %d stamps unknown epoch" j
+                  | Some snap ->
+                      let want =
+                        Plane.snapshot_oracle
+                          ~phase:(Protego_base.Phase.of_index o.Plane.o_phase)
+                          snap reqs.(j)
+                      in
+                      if (o.Plane.o_verdict = Pfm.Allow) <> want then
+                        fail "batch outcome %d disagrees with its epoch %d" j
+                          o.Plane.o_epoch)
+                rr.Plane.rr_outcomes;
+              let rep = Replay.replay_run plane ~run ~count:(Array.length reqs) in
+              if rep.Replay.rp_matched <> Array.length reqs then
+                fail "journal replay of run %d: %s" run (Replay.render rep))
+        ops;
+      true)
+
 (* --- sequential decide vs the oracle ------------------------------------ *)
 
 let test_decide_matches_oracle () =
@@ -586,6 +822,21 @@ let suites =
        Alcotest.test_case "watch parity" `Quick test_watch_parity;
        Alcotest.test_case "bounded history" `Quick test_history_bound;
        Alcotest.test_case "atomic generations" `Quick test_atomic_generations ]);
+    ("plane:incremental",
+     [ Alcotest.test_case "binds bump recompiles only bind" `Quick
+         test_share_binds;
+       Alcotest.test_case "mounts bump recompiles mount and umount" `Quick
+         test_share_mounts;
+       Alcotest.test_case "ppp bump recompiles only ppp" `Quick test_share_ppp;
+       Alcotest.test_case "delegation and accounts bumps recompile nothing"
+         `Quick test_share_unprogrammed;
+       Alcotest.test_case "unannounced assignment recompiles its source"
+         `Quick test_share_unannounced;
+       Alcotest.test_case "shared programs survive a publish chain" `Quick
+         test_share_chain;
+       Alcotest.test_case "ppp-only publish allocation gate" `Quick
+         test_publish_alloc;
+       QCheck_alcotest.to_alcotest ~long:false prop_incremental_differential ]);
     ("plane:decide",
      [ Alcotest.test_case "sequential decide vs oracle" `Quick
          test_decide_matches_oracle;
