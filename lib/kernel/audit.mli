@@ -20,7 +20,7 @@ type record = Ktypes.audit_record = {
   au_allowed : bool;
   au_engine : string option;
       (** what served the decision for filter-machine-backed hooks
-          (["cache"], ["pfm"] or ["ref"]); [None] for unfiltered decisions *)
+          (["cache"] or ["pfm"]); [None] for unfiltered decisions *)
   au_span : int option;
       (** trace span id of the decision when span recording was on
           (see [Protego.Trace]); correlates the record with

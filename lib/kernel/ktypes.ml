@@ -42,7 +42,7 @@ type audit_record = {
   au_obj : string;
   au_allowed : bool;
   au_engine : string option;
-      (* evaluating engine for filtered hooks: "pfm" or "ref" *)
+      (* what served a filtered hook: "cache" or "pfm" *)
   au_span : int option;
       (* trace span id of the decision, when spans were being recorded *)
 }

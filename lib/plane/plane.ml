@@ -102,15 +102,11 @@ let fresh_slot () =
     f_verdict = Pfm.Deny; f_errno = None }
 
 (* Everything a worker touches on a decision is domain-private; the only
-   shared reads are the snapshot pointer and the live [t.engine]/clock
-   configuration (constant during a run). *)
-type audit_mode = [ `Off | `Spool | `Journal | `Both ]
+   shared reads are the snapshot pointer and the clock configuration
+   (constant during a run). *)
+type audit_mode = [ `Off | `Journal ]
 
-let audit_mode_name = function
-  | `Off -> "off"
-  | `Spool -> "spool"
-  | `Journal -> "journal"
-  | `Both -> "both"
+let audit_mode_name = function `Off -> "off" | `Journal -> "journal"
 
 type worker = {
   w_id : int;
@@ -164,7 +160,6 @@ type t = {
   phases : int Atomic.t array;   (* Phase.index per subject slot *)
   mutable domains : int;
   mutable workers : worker array;
-  mutable engine : [ `Pfm | `Ref ];
   mutable clock : (unit -> int) option;
   mutable runs : int;
   mutable audit : audit_mode;
@@ -199,7 +194,7 @@ let create ?(domains = 1) ?(journal_seg_bytes = 262144)
     phases = Array.init phase_slots (fun _ -> Atomic.make 0);
     domains = d;
     workers = Array.init d (fun i -> make_worker ?cache_capacity journal i snap);
-    engine = `Pfm; clock = None; runs = 0; audit = `Journal;
+    clock = None; runs = 0; audit = `Journal;
     record = false; cache_capacity; journal;
     rotations = 0; jseg_bytes = journal_seg_bytes; jsegs = journal_segments;
     running = false }
@@ -237,21 +232,23 @@ let rotations t = t.rotations
 
 (* Swap in a fresh journal and re-attach every worker's term to it.  The
    run counter keeps growing, so run stamps never collide across a
-   rotation even though sequence numbers restart. *)
+   rotation even though sequence numbers restart.  Never mid-run: the
+   run's records would land in two journals and its stitch would lose
+   every record written before the swap. *)
 let rotate_journal t =
+  if t.running then invalid_arg (in_flight_msg "rotate_journal");
   let j = J.create ~seg_bytes:t.jseg_bytes ~segments:t.jsegs () in
   t.journal <- j;
   t.rotations <- t.rotations + 1;
   Array.iter (fun w -> w.w_term <- J.term j ~domain:w.w_id) t.workers
 
 let reset_journal t =
+  if t.running then invalid_arg (in_flight_msg "reset_journal");
   rotate_journal t;
   t.rotations <- 0
 
 let snapshot_at t e = Snapshot.at_epoch t.pub e
 
-let engine t = t.engine
-let set_engine t e = t.engine <- e
 let set_clock t f = t.clock <- Some f
 let state t = t.st
 let current t = Snapshot.current t.pub
@@ -293,10 +290,12 @@ let reset_phases t = Array.iter (fun a -> Atomic.set a 0) t.phases
 
 (* --- the decision ------------------------------------------------------- *)
 
-let of_bool b = if b then Pfm.Allow else Pfm.Deny
+(* A denial's errno per hook index: EACCES for bind, EPERM for the
+   rest.  Shared options, so an engine-served denial allocates none. *)
+let deny_errnos =
+  [| Some Errno.EPERM; Some Errno.EPERM; Some Errno.EACCES; Some Errno.EPERM |]
 
-let deny_errno e (v : Pfm.verdict) =
-  match v with Pfm.Allow -> None | Pfm.Deny | Pfm.Reject -> Some e
+let request_deny_errno req = Option.get deny_errnos.(hook_index req)
 
 (* Programs a publish carried over are [==] across snapshots, so the
    worker keeps its private clone of those and clones only the rest. *)
@@ -355,7 +354,7 @@ let request_ctx ~ph = function
    phase transition strands exactly the transitioning subject's cached
    verdicts, and it selects the per-phase ladder inside the compiled
    programs. *)
-let decide_with w engine snap req ~ph =
+let decide_with w snap req ~ph =
   adopt w snap;
   let hi = hook_index req in
   if slot_valid w hi snap req ~ph then begin
@@ -377,23 +376,18 @@ let decide_with w engine snap req ~ph =
         { o_verdict = v; o_errno = e; o_epoch = snap.Snapshot.epoch;
           o_phase = ph }
     | None ->
+        let progs = w.w_progs in
         let v =
-          match engine with
-          | `Pfm ->
-              let progs = w.w_progs in
-              Pfm.eval
-                (match req with
-                 | Mount _ -> progs.Snapshot.p_mount
-                 | Umount _ -> progs.Snapshot.p_umount
-                 | Bind _ -> progs.Snapshot.p_bind
-                 | Ppp_ioctl _ -> progs.Snapshot.p_ppp)
-                ctx
-          | `Ref -> of_bool (snapshot_oracle ~phase:(Phase.of_index ph) snap req)
+          Pfm.eval
+            (match req with
+             | Mount _ -> progs.Snapshot.p_mount
+             | Umount _ -> progs.Snapshot.p_umount
+             | Bind _ -> progs.Snapshot.p_bind
+             | Ppp_ioctl _ -> progs.Snapshot.p_ppp)
+            ctx
         in
         let e =
-          match req with
-          | Bind _ -> deny_errno Errno.EACCES v
-          | Mount _ | Umount _ | Ppp_ioctl _ -> deny_errno Errno.EPERM v
+          match v with Pfm.Allow -> None | Pfm.Deny | Pfm.Reject -> deny_errnos.(hi)
         in
         w.w_evals.(hi) <- w.w_evals.(hi) + 1;
         tally w hi v;
@@ -406,29 +400,14 @@ let decide_with w engine snap req ~ph =
 let request_phase t req =
   Atomic.get (phase_slot t (subject_of req))
 
-let decide_one t w engine req =
-  decide_with w engine (Snapshot.current t.pub) req ~ph:(request_phase t req)
+let decide_one t w req =
+  decide_with w (Snapshot.current t.pub) req ~ph:(request_phase t req)
 
 let decide t req =
   ignore (refresh t);
-  decide_one t t.workers.(0) t.engine req
+  decide_one t t.workers.(0) req
 
-(* --- audit spools ------------------------------------------------------- *)
-
-type spool = {
-  sp_seq : int array;
-  sp_hook : int array;
-  sp_subject : int array;
-  sp_allowed : int array;
-  sp_epoch : int array;
-  mutable sp_len : int;
-}
-
-let make_spool cap =
-  { sp_seq = Array.make (max cap 1) 0; sp_hook = Array.make (max cap 1) 0;
-    sp_subject = Array.make (max cap 1) 0;
-    sp_allowed = Array.make (max cap 1) 0;
-    sp_epoch = Array.make (max cap 1) 0; sp_len = 0 }
+(* --- the journal -------------------------------------------------------- *)
 
 (* Worker [w] of [d] owns exactly the sequence numbers congruent to
    [w] mod [d]. *)
@@ -476,19 +455,6 @@ let journal_append ~recorded term ~run ~seq req (o : outcome) =
       J.append_ppp term ~seq ~run ~epoch ~subject ~verdict ~errno ~phase
         ~device ~safe:(Protego_net.Ppp.option_is_safe opt)
 
-let merge_audit spools n d =
-  Array.iteri
-    (fun w sp ->
-      if sp.sp_len <> slice_len n d w then
-        failwith "Plane.run: audit spool length mismatch")
-    spools;
-  Array.init n (fun s ->
-      let sp = spools.(s mod d) in
-      let k = s / d in
-      if sp.sp_seq.(k) <> s then failwith "Plane.run: audit spool out of order";
-      { a_seq = s; a_hook = sp.sp_hook.(k); a_subject = sp.sp_subject.(k);
-        a_allowed = sp.sp_allowed.(k) = 1; a_epoch = sp.sp_epoch.(k) })
-
 (* --- the run loop ------------------------------------------------------- *)
 
 let batch_len = 1024
@@ -499,8 +465,8 @@ let dummy_outcome =
 (* Process this worker's stride of [start, stop) in timed batches.
    [base] is the completed-count already published for earlier segments
    of the same run (one-domain runs are split at reload thresholds). *)
-let worker_slice t w reqs ~start ~stop ~d ~engine ~clock ~collect ~outcomes
-    ~spool ~base ~mode ~run_id =
+let worker_slice t w reqs ~start ~stop ~d ~clock ~collect ~outcomes ~base
+    ~journaled ~run_id =
   let i = ref start in
   let done_ = ref 0 in
   while !i < stop do
@@ -513,36 +479,24 @@ let worker_slice t w reqs ~start ~stop ~d ~engine ~clock ~collect ~outcomes
         match clock with
         | Some c when w.w_sample land 63 = 0 ->
             let s0 = c () in
-            let o = decide_one t w engine req in
+            let o = decide_one t w req in
             Trace.observe w.w_keys.(hook_index req) ~ns:(c () - s0);
             o
-        | _ -> decide_one t w engine req
+        | _ -> decide_one t w req
       in
       w.w_sample <- w.w_sample + 1;
       (* Record mode: the engine's true verdict was just computed (and
          cached); a would-deny is served as Allow while the journal
-         keeps the distinct "recorded" tag.  The spool mirrors the
-         served outcome, so the journal/spool differential still holds
-         once verdict 3 decodes as allowed. *)
+         keeps the distinct "recorded" tag, which the stitched audit
+         view decodes as allowed. *)
       let recorded = t.record && o.o_verdict <> Pfm.Allow in
       let o =
         if recorded then { o with o_verdict = Pfm.Allow; o_errno = None }
         else o
       in
       if collect then outcomes.(!i) <- o;
-      (match mode with
-       | `Off -> ()
-       | `Journal -> journal_append ~recorded w.w_term ~run:run_id ~seq:!i req o
-       | `Spool | `Both ->
-           let k = spool.sp_len in
-           spool.sp_seq.(k) <- !i;
-           spool.sp_hook.(k) <- hook_index req;
-           spool.sp_subject.(k) <- subject_of req;
-           spool.sp_allowed.(k) <- (if o.o_verdict = Pfm.Allow then 1 else 0);
-           spool.sp_epoch.(k) <- o.o_epoch;
-           spool.sp_len <- k + 1;
-           if mode = `Both then
-             journal_append ~recorded w.w_term ~run:run_id ~seq:!i req o);
+      if journaled then
+        journal_append ~recorded w.w_term ~run:run_id ~seq:!i req o;
       i := !i + d
     done;
     (match clock with
@@ -556,8 +510,8 @@ let worker_slice t w reqs ~start ~stop ~d ~engine ~clock ~collect ~outcomes
 
 (* Rebuild the submission-ordered audit view from the journal: stitch
    the run's records by their sequence stamps (zero lost, zero
-   duplicated — checked, not assumed) and decode each into the same
-   audit entry the spool merge produces. *)
+   duplicated — checked, not assumed) and decode each into an audit
+   entry. *)
 let audit_of_stitched ds =
   Array.map
     (fun (dec : J.decision) ->
@@ -587,16 +541,10 @@ let run t ?(collect = true) ?(reloads = []) reqs =
   let n = Array.length reqs in
   let d = t.domains in
   let ws = t.workers in
-  let engine = t.engine in
   let clock = t.clock in
-  let mode = t.audit in
+  let journaled = t.audit = `Journal in
   let run_id = t.runs in
   let outcomes = if collect then Array.make n dummy_outcome else [||] in
-  let spools =
-    match mode with
-    | `Spool | `Both -> Array.init d (fun w -> make_spool (slice_len n d w))
-    | `Off | `Journal -> Array.init d (fun _ -> make_spool 0)
-  in
   Array.iter
     (fun w ->
       Atomic.set w.w_completed 0;
@@ -609,11 +557,10 @@ let run t ?(collect = true) ?(reloads = []) reqs =
        thresholds, so an action fires exactly before the decision with
        its sequence number. *)
     let w = ws.(0) in
-    let sp = spools.(0) in
     let seg start stop =
       if start < stop then
-        worker_slice t w reqs ~start ~stop ~d:1 ~engine ~clock ~collect
-          ~outcomes ~spool:sp ~base:start ~mode ~run_id
+        worker_slice t w reqs ~start ~stop ~d:1 ~clock ~collect ~outcomes
+          ~base:start ~journaled ~run_id
     in
     let pos = ref 0 in
     List.iter
@@ -629,8 +576,8 @@ let run t ?(collect = true) ?(reloads = []) reqs =
   else begin
     let spawn w =
       Domain.spawn (fun () ->
-          worker_slice t w reqs ~start:w.w_id ~stop:n ~d ~engine ~clock
-            ~collect ~outcomes ~spool:spools.(w.w_id) ~base:0 ~mode ~run_id)
+          worker_slice t w reqs ~start:w.w_id ~stop:n ~d ~clock ~collect
+            ~outcomes ~base:0 ~journaled ~run_id)
     in
     let doms = Array.map spawn ws in
     (* Coordinate reloads off the published progress counters; a
@@ -658,33 +605,13 @@ let run t ?(collect = true) ?(reloads = []) reqs =
      correctness failure: surface them in [rr_audit_lost] rather than
      throwing away the whole run's computed outcomes.  Any stitch error
      with nothing dropped is real corruption and still aborts. *)
-  let stitch_run () = J.stitch t.journal ~run:run_id ~base:0 ~count:n in
-  let degrade e =
-    if J.dropped t.journal > 0 then ([||], Some e)
-    else failwith ("Plane.run: " ^ e)
-  in
   let audit, audit_lost =
-    match mode with
-    | _ when not collect -> ([||], None)
-    | `Off -> ([||], None)
-    | `Spool -> (merge_audit spools n d, None)
-    | `Journal -> (
-        match stitch_run () with
-        | Ok ds -> (audit_of_stitched ds, None)
-        | Error e -> degrade e)
-    | `Both -> (
-        (* Differential oracle: the index-arithmetic spool merge and the
-           stamp-driven journal stitch must reconstruct the exact same
-           submission-ordered trail. *)
-        let sp = merge_audit spools n d in
-        match stitch_run () with
-        | Ok ds ->
-            if sp <> audit_of_stitched ds then
-              failwith "Plane.run: journal/spool audit divergence";
-            (sp, None)
-        | Error e ->
-            let _, lost = degrade e in
-            (sp, lost))
+    if not (collect && journaled) then ([||], None)
+    else
+      match J.stitch t.journal ~run:run_id ~base:0 ~count:n with
+      | Ok ds -> (audit_of_stitched ds, None)
+      | Error e when J.dropped t.journal > 0 -> ([||], Some e)
+      | Error e -> failwith ("Plane.run: " ^ e)
   in
   { rr_outcomes = outcomes; rr_audit = audit; rr_audit_lost = audit_lost;
     rr_wall_ns = wall; rr_min_op_ns = Array.map (fun w -> w.w_min_op_ns) ws }
@@ -743,13 +670,10 @@ let merged_latency t hi =
     t.workers;
   (!total, buckets)
 
-let engine_name t = match t.engine with `Pfm -> "pfm" | `Ref -> "ref"
-
 let render t =
   let b = Buffer.create 512 in
   Buffer.add_string b
-    (Printf.sprintf "plane domains %d engine %s epoch %d runs %d\n" t.domains
-       (engine_name t)
+    (Printf.sprintf "plane domains %d epoch %d runs %d\n" t.domains
        (Snapshot.current t.pub).Snapshot.epoch
        t.runs);
   let js = J.stats t.journal in
@@ -803,8 +727,6 @@ let handle_write t contents =
         reset_journal t;
         Ok ()
       end
-  | "engine pfm" -> set_engine t `Pfm; Ok ()
-  | "engine ref" -> set_engine t `Ref; Ok ()
   | "record on" | "record off" ->
       let on = String.trim contents = "record on" in
       if t.running then
@@ -814,9 +736,7 @@ let handle_write t contents =
         Ok ()
       end
   | "audit off" -> set_audit_mode t `Off; Ok ()
-  | "audit spool" -> set_audit_mode t `Spool; Ok ()
   | "audit journal" -> set_audit_mode t `Journal; Ok ()
-  | "audit both" -> set_audit_mode t `Both; Ok ()
   | other -> (
       match String.split_on_char ' ' other with
       | [ "domains"; ns ] -> (
@@ -846,6 +766,8 @@ let render_journal t =
 
 let handle_journal_write t contents =
   match String.trim contents with
+  | ("rotate" | "reset") as cmd when t.running ->
+      Error (in_flight_msg (cmd ^ "_journal"))
   | "rotate" -> rotate_journal t; Ok ()
   | "reset" -> reset_journal t; Ok ()
   | other -> Error ("journal: unknown command: " ^ other)
@@ -887,10 +809,6 @@ let request_oracle ?phase (st : PS.t) = function
   | Ppp_ioctl { device; opt; _ } ->
       PS.ppp_ioctl_decision ?phase st ~device ~opt
 
-let request_deny_errno = function
-  | Bind _ -> Errno.EACCES
-  | Mount _ | Umount _ | Ppp_ioctl _ -> Errno.EPERM
-
 (* --- simulation hooks --------------------------------------------------- *)
 
 let running t = t.running
@@ -910,12 +828,12 @@ let worker_of t i =
                    t.domains);
   t.workers.(i)
 
-let decide_on t ~worker req = decide_one t (worker_of t worker) t.engine req
+let decide_on t ~worker req = decide_one t (worker_of t worker) req
 
 let worker_snapshot t i = (worker_of t i).w_snap
 
 let decide_against t ~worker snap req =
-  decide_with (worker_of t worker) t.engine snap req ~ph:(request_phase t req)
+  decide_with (worker_of t worker) snap req ~ph:(request_phase t req)
 
 let journal_decision t ~worker ~run ~seq req o =
   journal_append ~recorded:false (worker_of t worker).w_term ~run ~seq req o

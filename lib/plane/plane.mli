@@ -7,7 +7,7 @@
     OCaml 5 Domains.  Per worker domain: a private decision cache, a
     per-hook front slot keyed to the snapshot epoch, private compiled
     programs (counters and all), private filter/latency counters, and a
-    private audit spool — so the warm path shares {e nothing} writable
+    private journal term — so the warm path shares {e nothing} writable
     between domains.  The only cross-domain communication on a decision
     is one [Atomic.get] of the current {!Snapshot.t}.  Policy changes
     build a new snapshot off to the side and swap the pointer
@@ -15,18 +15,20 @@
     they acquired, so every verdict is consistent with exactly one
     published policy — never a torn mix (DESIGN.md §6).
 
-    Audit: the plane's default sink is the lock-free binary journal
+    Audit: the plane's one sink is the lock-free binary journal
     ({!Protego_journal.Journal}) — each worker holds a private {e term}
     of the plane's journal and encodes every decision in place with one
     segment-granular atomic claim amortized over thousands of records;
     after a run the epoch/sequence stamps let {!Protego_journal.
     Journal.stitch} reconstruct the total submission order without a
-    merge barrier (DESIGN.md §8).  The pre-journal columnar spool
-    survives as a runtime-selectable fallback ([`Spool]) and as a
-    differential oracle ([`Both] runs both sinks and fails the run on
-    any divergence).  Requests are partitioned round-robin, so worker
-    [w] of [d] owns exactly the sequence numbers congruent to [w] mod
-    [d] — zero lost, zero duplicated, by construction (and by test). *)
+    merge barrier (DESIGN.md §8).  Requests are partitioned round-robin,
+    so worker [w] of [d] owns exactly the sequence numbers congruent to
+    [w] mod [d] — zero lost, zero duplicated, checked by the stitch on
+    every collected run.
+
+    Every miss is evaluated by the snapshot's compiled programs.  The
+    list-walking reference semantics ({!request_oracle},
+    {!snapshot_oracle}) are test oracles, not a runtime mode. *)
 
 module PS = Protego_core.Policy_state
 module Pfm = Protego_filter.Pfm
@@ -84,7 +86,8 @@ type run_result = {
       (** one per request, submission order; [[||]] when collection was
           disabled *)
   rr_audit : audit_entry array;
-      (** merged spools, strictly ascending [a_seq] = 0..n-1; [[||]]
+      (** the run's journal records stitched back into submission order,
+          strictly ascending [a_seq] = 0..n-1; [[||]] with audit off or
           when the journal trail degraded (see [rr_audit_lost]) *)
   rr_audit_lost : string option;
       (** [Some reason] when the run's journaled trail could not be
@@ -105,10 +108,9 @@ val capacity_per_sec : run_result -> float
     domains this measures contention-freedom rather than wall-clock
     parallelism; methodology in DESIGN.md §6.  [0.] without a clock. *)
 
-type audit_mode = [ `Off | `Spool | `Journal | `Both ]
-(** What records decisions during {!run}: nothing, the legacy columnar
-    spool, the binary journal (default), or both (differential oracle —
-    the run fails if the two sinks disagree record-for-record). *)
+type audit_mode = [ `Off | `Journal ]
+(** What records decisions during {!run}: nothing, or the binary
+    journal (default). *)
 
 val audit_mode_name : audit_mode -> string
 
@@ -145,9 +147,6 @@ val set_domains : t -> int -> unit
     simulated) is in flight — racing a worker-array swap against live
     workers would hand decisions to orphaned terms. *)
 
-val engine : t -> [ `Pfm | `Ref ]
-val set_engine : t -> [ `Pfm | `Ref ] -> unit
-
 val set_clock : t -> (unit -> int) -> unit
 (** Install a monotonic nanosecond clock: arms wall/batch timing and the
     per-worker latency histograms (sampled, 1 in 64 decisions). *)
@@ -164,7 +163,7 @@ val refresh : t -> Snapshot.t
 val decide : t -> request -> outcome
 (** One decision on worker 0, after a {!refresh} — the deterministic
     sequential entry point tests and the /proc surface use.  Does not
-    spool audit records. *)
+    journal the decision. *)
 
 val run :
   t -> ?collect:bool -> ?reloads:(int * (unit -> unit)) list ->
@@ -174,7 +173,7 @@ val run :
     one domain the run is inline and deterministic; otherwise one
     OCaml domain is spawned per worker.  [collect:false] skips the
     outcome array and the [rr_audit] reconstruction (bench mode; the
-    configured audit sinks still record every decision — use
+    journal still records every decision — use
     {!stitched_audit} to rebuild the trail afterwards).  [reloads] are [(threshold, action)]
     pairs: each action fires once, off the coordinating domain, as soon
     as the total completed-decision count reaches its threshold (with
@@ -289,7 +288,7 @@ val record_mode : t -> bool
 
 val set_record_mode : t -> bool -> unit
 (** Permissive record mode.  While on, a request the engine would deny
-    or reject is {e served} as an allow (outcomes, spool) but journaled
+    or reject is {e served} as an allow (outcomes, audit view) but journaled
     with the distinct verdict code 3 ("recorded") — the raw material
     the policy synthesizer generalizes from.  Engine caches keep the
     true verdicts, so toggling record off needs no invalidation.
@@ -304,10 +303,13 @@ val rotations : t -> int
 val rotate_journal : t -> unit
 (** Swap in a fresh journal of the same geometry and re-attach every
     worker's term to it; the old journal is dropped.  Counted by
-    {!rotations}. *)
+    {!rotations}.  Raises [Invalid_argument] while a run (real or
+    simulated) is in flight: the run's records would straddle two
+    journals and its stitch would lose the earlier ones. *)
 
 val reset_journal : t -> unit
-(** {!rotate_journal} and zero the rotation counter. *)
+(** {!rotate_journal} and zero the rotation counter; refused in flight
+    the same way. *)
 
 val snapshot_at : t -> int -> Snapshot.t option
 (** The snapshot published at a given epoch ({!Snapshot.at_epoch}) —
@@ -335,7 +337,7 @@ val hook_stats : t -> (string * hook_totals) list
 
 val render : t -> string
 (** {v
-    plane domains <d> engine <pfm|ref> epoch <e> runs <n>
+    plane domains <d> epoch <e> runs <n>
     audit mode <m> records <n> live <n> dropped <n> rotations <n>
     worker <i> decisions <n> evals <n> hits <n> misses <n> stale <n>
     hook <name> decisions <n> allow <n> deny <n> evals <n> hits <n>
@@ -346,8 +348,7 @@ val render : t -> string
     walk. *)
 
 val handle_write : t -> string -> (unit, string) result
-(** ["domains <n>"], ["engine pfm|ref"], ["publish"],
-    ["audit off|spool|journal|both"],
+(** ["domains <n>"], ["publish"], ["audit off|journal"],
     ["phase <subject> setup|serving|steady"] (tighten-only; loosening
     errors), ["reset"] (zero counters, drop caches, phases back to
     initial, fresh journal); anything else errors. *)
@@ -358,7 +359,8 @@ val render_journal : t -> string
     {!Protego_journal.Journal.render_stats}. *)
 
 val handle_journal_write : t -> string -> (unit, string) result
-(** ["rotate"], ["reset"]; anything else errors. *)
+(** ["rotate"], ["reset"] ({!rotate_journal}, {!reset_journal}; an
+    error while a run is in flight); anything else errors. *)
 
 val install_proc :
   Protego_kernel.Ktypes.machine -> t -> unit

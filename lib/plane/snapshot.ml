@@ -16,14 +16,6 @@ type t = {
   progs : progs;
 }
 
-let filter_rule (r : PS.mount_rule) : Compile.mount_rule =
-  { Compile.fm_source = r.PS.mr_source;
-    fm_target = r.PS.mr_target;
-    fm_fstype = r.PS.mr_fstype;
-    fm_flags = r.PS.mr_flags;
-    fm_user_only = (r.PS.mr_mode = `User);
-    fm_phase = r.PS.mr_phase }
-
 (* The policy fields are immutable values (lists, records): aliasing them
    into a fresh record decouples the snapshot from every future mutation
    of the live state, which only ever replaces whole fields. *)
@@ -55,7 +47,9 @@ let build ?prev ~epoch (st : PS.t) =
     match kept PS.Mounts (fun f -> f.PS.mounts == frozen.PS.mounts) with
     | Some p -> (p.p_mount, p.p_umount)
     | None ->
-        let rules = List.map filter_rule frozen.PS.mounts in
+        let rules =
+          List.map Protego_core.Pfm_dispatch.filter_rule frozen.PS.mounts
+        in
         (Compile.mount rules, Compile.umount rules)
   in
   let p_bind =

@@ -427,7 +427,7 @@ let gated_load m st disp task ~file ~sources ~apply ~rollback =
   match verdict with
   | `Clean -> Ok ()
   | `Warned fs ->
-      Audit.emit ~engine:(Pfm_dispatch.engine_name disp) m task
+      Audit.emit ~engine:"pfm" m task
         ~op:"policy-load" ~obj:(describe fs) ~allowed:true;
       List.iter
         (fun f ->
@@ -437,7 +437,7 @@ let gated_load m st disp task ~file ~sources ~apply ~rollback =
       Ok ()
   | `Refused fs ->
       rollback ();
-      Audit.emit ~engine:(Pfm_dispatch.engine_name disp) m task
+      Audit.emit ~engine:"pfm" m task
         ~op:"policy-load" ~obj:(describe fs) ~allowed:false;
       List.iter
         (fun f ->
@@ -643,7 +643,7 @@ let install_proc_files m st disp =
           List.iter
             (fun line ->
               log_dmesg m "protego: %s" line;
-              Audit.emit ~engine:(Pfm_dispatch.engine_name disp) m t
+              Audit.emit ~engine:"pfm" m t
                 ~op:"filter-opt" ~obj:line ~allowed:(not (rejected line)))
             (Pfm_dispatch.drain_opt_log disp);
           Ok ()

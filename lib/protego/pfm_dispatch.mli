@@ -2,20 +2,23 @@
     compiled {!Protego_filter.Pfm} programs.
 
     Each filtered hook (mount, umount, bind, netfilter output, ppp ioctl)
-    asks the dispatcher for a verdict.  The lookup order is {e decision
-    cache -> compiled PFM -> reference engine}: a {!Decision_cache} memo
-    keyed on (hook, subject credential key, the hook's PFM context) is
-    consulted first; on a miss, under the [`Pfm] engine (the default)
-    the dispatcher compiles the hook's policy source into a bytecode
-    program, caches it, and evaluates it; under [`Ref] it runs the
-    original list-walking decision ({!Policy_state.mount_decision} and
-    friends, {!Protego_net.Netfilter.walk}).  All three paths must agree —
-    the [`Ref] engine is kept in-tree as the differential-testing oracle.
-    The computed verdict is memoized (negative results included), stamped
-    with the generation vector of the policy sources the hook reads
+    asks the dispatcher for a verdict, and every hook walks the same
+    ladder: {e front slot -> decision cache -> compiled PFM}.  The
+    one-entry front slot matches a repeat of the hook's last arguments
+    by physical identity; the {!Decision_cache} memo is keyed on (hook,
+    subject credential key, the hook's PFM context); on a miss the
+    dispatcher compiles the hook's policy source into a bytecode
+    program, caches it, and evaluates it.  The computed verdict is
+    memoized (negative results included), stamped with the generation
+    vector of the policy sources the hook reads
     ({!Policy_state.generation}); a policy reload bumps the written
     source's generation and lazily invalidates exactly the stamped
     entries.
+
+    The list-walking reference semantics ({!Policy_state.mount_decision}
+    and friends, {!Protego_net.Netfilter.walk}) are not a runtime mode:
+    they are the oracles the differential and fuzz suites hold every
+    compiled verdict to.
 
     Program caches key on the {e physical identity} of the policy source
     (the rule list / bind map / ppp policy record / netfilter chain).
@@ -30,43 +33,40 @@
     dispatcher between states would let entries from one answer for the
     other. *)
 
-type engine = [ `Pfm | `Ref ]
-
 type lint_mode = [ `Warn | `Enforce ]
 (** What the load-time policy lint gate does with error-severity
     findings: [`Warn] (the default) installs the policy and tags the
     audit trail; [`Enforce] refuses the install. *)
 
 type hook_stats = {
-  mutable evals : int;          (** decisions taken on this hook *)
-  mutable allow : int;
+  mutable evals : int;
+      (** engine evaluations on this hook: front-slot and memo hits never
+          reach the engine and are counted by {!Decision_cache} instead *)
+  mutable allow : int;   (** of [evals], by verdict *)
   mutable deny : int;
   mutable reject : int;
   mutable invalidations : int;  (** recompiles forced by a policy change *)
-  mutable insns : int;          (** bytecode instructions retired ([`Pfm] only) *)
+  mutable insns : int;          (** bytecode instructions retired *)
 }
 
 type t
 
 val create : unit -> t
-(** Starts on the [`Pfm] engine with empty caches and zeroed stats. *)
-
-val engine : t -> engine
-val set_engine : t -> engine -> unit
-val engine_name : t -> string
-(** ["pfm"] or ["ref"] — the configured evaluation engine. *)
+(** Empty caches and zeroed stats. *)
 
 val decision_engine_name : t -> string
-(** What served the most recent decision: ["cache"], ["pfm"] or ["ref"] —
-    the value audit records carry.  Before any decision, the configured
-    engine's name. *)
+(** What served the most recent decision: ["cache"] (front slot or memo
+    table) or ["pfm"] (the compiled program) — the value audit records
+    carry.  ["pfm"] before any decision. *)
 
 val cache : t -> Decision_cache.t
-(** The decision cache in front of both engines. *)
+(** The decision cache in front of the compiled programs. *)
 
 val trace : t -> Trace.t
-(** The decision tracer: per-(hook, engine) latency histograms plus the
-    opt-in span ring.  Unarmed (and skipped by every decision) until a
+(** The decision tracer: per-hook latency histograms for the ["cache"]
+    and ["pfm"] series plus the opt-in span ring, whose spans record
+    the stages ["slot"], ["table"], ["engine"] as far as the decision
+    got.  Unarmed (and skipped by every decision) until a
     clock is installed with {!Trace.set_clock} or spans are switched
     on. *)
 
@@ -128,6 +128,10 @@ val opt_rejects : t -> int
 val drain_opt_log : t -> string list
 (** Pending install/reject/revert lines, oldest first; clears the log. *)
 
+val filter_rule : Policy_state.mount_rule -> Protego_filter.Pfm_compile.mount_rule
+(** A whitelist rule as the mount/umount compilers and the lint engine
+    read it. *)
+
 (** {1 Hook decisions} *)
 
 val decide_mount :
@@ -141,8 +145,8 @@ val decide_mount :
     verdict-neutral for unphased policies): every task-scoped decision
     here and below is keyed on it in the front slot and the cache table,
     so a phase transition strands exactly the transitioning task's stale
-    entries, and it rides into the PFM context / reference oracle so
-    phase-guarded rules see it. *)
+    entries, and it rides into the PFM context so phase-guarded rules
+    see it. *)
 
 val decide_umount :
   t -> ?phase:Protego_base.Phase.t -> Policy_state.t -> target:string ->
@@ -202,14 +206,13 @@ val check_policy_load :
 (** {1 /proc/protego/filter_stats} *)
 
 val render : t -> string
-(** The grammar documented in {!Policy_state}: an [engine] header line,
-    one [hook] line per filtered hook, one [opt <hook> <status>] line
+(** The grammar documented in {!Policy_state}: one [hook] line per
+    filtered hook, one [opt <hook> <status>] line
     per hook ("none", "active: ...", "rejected: ...", or "stale (policy
     changed)"), and a closing [opt_rejects <n>] line. *)
 
 val handle_write : t -> string -> (unit, string) result
-(** ["reset"], ["engine pfm"], ["engine ref"], ["optimize"],
-    ["deoptimize"]; anything else errors.  ["optimize"] returns [Ok]
+(** ["reset"], ["optimize"], ["deoptimize"]; anything else errors.  ["optimize"] returns [Ok]
     even when rewrites are rejected by the proof gate — rejections are
     reported through {!render} and {!drain_opt_log}, not as write
     errors. *)
@@ -235,8 +238,8 @@ val handle_trace_write : t -> string -> (unit, string) result
 (** {1 /proc/protego/latency} *)
 
 val render_latency : t -> string
-(** {!Trace.render_latency}: one line per (hook, engine) pair with
-    p50/p90/p99 and max. *)
+(** {!Trace.render_latency}: one line per (hook, series) pair — series
+    ["cache"] and ["pfm"] — with p50/p90/p99 and max. *)
 
 val handle_latency_write : t -> string -> (unit, string) result
 (** ["reset"]; anything else errors. *)

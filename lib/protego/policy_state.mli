@@ -18,13 +18,20 @@
     A fifth file, [filter_stats], exposes the filter-machine dispatcher
     (see {!Pfm_dispatch}).  Reading it yields:
     {v
-    engine <pfm|ref>
     hook <name> evals <n> allow <n> deny <n> reject <n> invalidations <n> insns <n>
+    opt <name> <status>
+    opt_rejects <n>
     v}
-    with one [hook] line per filtered hook ([mount], [umount], [bind],
-    [nf_output], [ppp_ioctl]).  Writing ["engine pfm"] or ["engine ref"]
-    selects the evaluating engine, writing ["reset"] zeroes every counter,
-    and anything else is [EINVAL]. *)
+    with one [hook] line and then one [opt] line per filtered hook
+    ([mount], [umount], [bind], [nf_output], [ppp_ioctl]).  The [hook]
+    counters cover engine evaluations only; front-slot and memo hits are
+    counted in [cache_stats].  An [opt] status is [none],
+    [active: <rewrites>], [rejected: <reason>] or
+    [stale (policy changed)]; [opt_rejects] counts rewrites the
+    verify/prove gate refused.  Writing ["reset"] zeroes the [hook]
+    counters, ["optimize"] installs each hook's proven-equivalent
+    optimized program, ["deoptimize"] restores the originals, and
+    anything else is [EINVAL]. *)
 
 open Protego_kernel
 
@@ -152,9 +159,9 @@ val bind_allowed :
 
     These three wrap the primitive queries into the exact allow/deny
     decision each LSM hook makes.  They are the list-walking reference
-    semantics the compiled {!Protego_filter.Pfm} programs must reproduce;
-    the dispatcher runs them when the [ref] engine is selected and the
-    differential fuzz suite checks the compiled verdicts against them. *)
+    semantics the compiled {!Protego_filter.Pfm} programs must reproduce:
+    the differential and fuzz suites check every compiled verdict against
+    them. *)
 
 val mount_decision :
   ?phase:Protego_base.Phase.t ->

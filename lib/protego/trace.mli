@@ -62,7 +62,7 @@ val on_arm : t -> (bool -> unit) -> unit
 
 type key = private {
   k_hook : string;
-  k_engine : string;                (** ["cache"], ["pfm"] or ["ref"] *)
+  k_engine : string;                (** ["cache"] or ["pfm"] *)
   k_buckets : int array;            (** [bucket_count] log₂ buckets *)
   mutable k_count : int;
   mutable k_max : int;              (** largest observed latency, ns *)

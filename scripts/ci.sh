@@ -146,9 +146,9 @@ full_tier() {
     ./_build/default/test/test_main.exe test plane
 
     # Journal stress: torn-tail/wraparound/stitch unit suites plus the
-    # 20k-request 4-domain `Both`-mode differential (journal vs spool
-    # record-for-record) and the total-order replay against epoch-stamped
-    # snapshots.
+    # 20k-request 4-domain differential (the stitched journal against the
+    # live outcomes and the reference oracle, record-for-record) and the
+    # total-order replay against epoch-stamped snapshots.
     echo "==> audit-journal stress (differential + total-order replay)"
     ./_build/default/test/test_main.exe test journal
 

@@ -41,3 +41,72 @@ let oracle : PS.t -> Plane.request -> bool = Plane.request_oracle
 (* The same reference verdict against a frozen snapshot. *)
 let snapshot_oracle : Snapshot.t -> Plane.request -> bool =
   Plane.snapshot_oracle
+
+(* --- one driver per dispatcher hook -------------------------------------- *)
+
+module PD = Protego_core.Pfm_dispatch
+
+(* A dispatcher hook under test: [hd_decide i] runs the hook on the
+   [i land 1]-th of two interned argument sets, so alternating indices
+   miss the one-entry front slot (it holds the other set) and hit the
+   memo table, while a constant index hits the front slot.  Index 0 is
+   allowed by the driver's policy, index 1 denied. *)
+type hook_driver = { hd_name : string; hd_decide : int -> unit }
+
+let hook_drivers disp =
+  let module NF = Protego_net.Netfilter in
+  let module Packet = Protego_net.Packet in
+  let st = PS.create () in
+  let ok = function Ok v -> v | Error e -> failwith ("hook_drivers: " ^ e) in
+  st.PS.mounts <- ok (PS.parse_mounts "allow /dev/a /m ext4 - users\n");
+  st.PS.binds <- ok (Protego_policy.Bindconf.parse "25 tcp /usr/sbin/exim4 0\n");
+  st.PS.ppp <- ok (Protego_policy.Pppopts.parse "allow-device /dev/ttyS0\n");
+  let nf = NF.create ~output_policy:NF.Accept () in
+  NF.append nf NF.Output
+    { NF.matches = [ NF.Dst_port { lo = 25; hi = 25 } ]; target = NF.Drop;
+      comment = "" };
+  let pkt dport =
+    { Packet.src = Protego_net.Ipaddr.v 10 0 0 2;
+      dst = Protego_net.Ipaddr.v 8 8 8 8; ttl = 64;
+      transport =
+        Packet.Udp_dgram { src_port = 5353; dst_port = dport; payload = "" } }
+  in
+  let sources = [| "/dev/a"; "/dev/b" |] and targets = [| "/m"; "/n" |] in
+  let ports = [| 25; 80 |] in
+  let opts = [| Protego_net.Ppp.Accomp; Protego_net.Ppp.Default_route |] in
+  let pkts = [| pkt 53; pkt 25 |] in
+  [ { hd_name = "mount";
+      hd_decide =
+        (fun i ->
+          ignore
+            (PD.decide_mount disp ~subject:1 st ~source:sources.(i land 1)
+               ~target:"/m" ~fstype:"ext4" ~flags:[]
+              : bool)) };
+    { hd_name = "umount";
+      hd_decide =
+        (fun i ->
+          ignore
+            (PD.decide_umount disp st ~target:targets.(i land 1) ~mounted_by:1
+               ~ruid:1
+              : bool)) };
+    { hd_name = "bind";
+      hd_decide =
+        (fun i ->
+          ignore
+            (PD.decide_bind disp st ~port:ports.(i land 1)
+               ~proto:Protego_policy.Bindconf.Tcp ~exe:"/usr/sbin/exim4" ~uid:0
+              : bool)) };
+    { hd_name = "ppp_ioctl";
+      hd_decide =
+        (fun i ->
+          ignore
+            (PD.decide_ppp_ioctl disp ~subject:1 st ~device:"/dev/ttyS0"
+               ~opt:opts.(i land 1)
+              : bool)) };
+    { hd_name = "nf_output";
+      hd_decide =
+        (fun i ->
+          ignore
+            (PD.decide_nf_output disp nf pkts.(i land 1)
+               ~origin:Packet.Kernel_stack
+              : NF.verdict)) } ]

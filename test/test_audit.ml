@@ -135,16 +135,14 @@ let test_engine_metadata () =
        ~flags:[]);
   check "cache engine recorded" true
     ((last_mount ()).Audit.au_engine = Some "cache");
-  (* With the cache bypassed, the selected engine shows through again. *)
+  (* With the cache bypassed, the compiled engine shows through again. *)
   Syntax.expect_ok "disable cache"
     (Syscall.write_file m root "/proc/protego/cache_stats" "enable off\n");
-  Syntax.expect_ok "switch engine"
-    (Syscall.write_file m root "/proc/protego/filter_stats" "engine ref\n");
   ignore
     (Syscall.mount m alice ~source:"/dev/sda2" ~target:"/etc" ~fstype:"ext4"
        ~flags:[]);
-  check "ref engine recorded" true
-    ((last_mount ()).Audit.au_engine = Some "ref");
+  check "pfm engine recorded without the cache" true
+    ((last_mount ()).Audit.au_engine = Some "pfm");
   (* Unfiltered decisions carry no engine tag. *)
   ignore (Syscall.read_file m alice "/etc/ssh/ssh_host_rsa_key");
   (match List.rev (find_op (Audit.records m) "file-acl") with
@@ -162,8 +160,7 @@ let test_engine_metadata () =
     go 0
   in
   check "engine=pfm rendered" true (has "engine=pfm");
-  check "engine=cache rendered" true (has "engine=cache");
-  check "engine=ref rendered" true (has "engine=ref")
+  check "engine=cache rendered" true (has "engine=cache")
 
 let test_ring_bounded () =
   let img = fixture () in

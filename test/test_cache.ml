@@ -333,29 +333,46 @@ let test_plane_alloc () =
   check (Printf.sprintf "journal_decision allocates nothing (%.4f)" w) true
     (w < 0.01)
 
-let test_nf_alloc () =
+(* Every dispatcher hook, warm: a memo hit allocates at most the hook's
+   PFM context, the table's hit result and the front-slot refill's
+   argument tuple (the per-hook bound is what the hook's ladder
+   allocated when the gate was set), and a front-slot hit allocates
+   nothing at all. *)
+let memo_hit_words =
+  [ ("mount", 15.); ("umount", 9.); ("bind", 10.); ("ppp_ioctl", 11.);
+    ("nf_output", 16.) ]
+
+let driver name =
   let disp = PD.create () in
-  let nf = Netfilter.create ~output_policy:Netfilter.Accept () in
-  Netfilter.append nf Netfilter.Output
-    { Netfilter.matches = [ Netfilter.Dst_port { lo = 25; hi = 25 } ];
-      target = Netfilter.Drop; comment = "" };
-  let pkt dport =
-    { Packet.src = Ipaddr.v 10 0 0 2; dst = Ipaddr.v 8 8 8 8; ttl = 64;
-      transport =
-        Packet.Udp_dgram { src_port = 5353; dst_port = dport; payload = "" } }
-  in
-  let pkts = [| pkt 25; pkt 53 |] in
-  let decide i =
-    PD.decide_nf_output disp nf pkts.(i land 1) ~origin:Packet.Kernel_stack
-  in
-  ignore (decide 0);
-  ignore (decide 1);
-  let evals0 = (List.assoc "nf_output" (PD.stats disp)).PD.evals in
-  let w = words_per_call warm_calls (fun i -> ignore (decide i)) in
-  check_int "every warm call was a memo hit" evals0
-    (List.assoc "nf_output" (PD.stats disp)).PD.evals;
-  check (Printf.sprintf "memo-hit decide_nf_output allocates <= 20 words (%.2f)" w)
-    true (w <= 20.)
+  (disp, List.find (fun d -> d.Test_support.hd_name = name)
+           (Test_support.hook_drivers disp))
+
+let evals disp name = (List.assoc name (PD.stats disp)).PD.evals
+
+let test_memo_hit_alloc name () =
+  let disp, d = driver name in
+  d.Test_support.hd_decide 0;
+  d.Test_support.hd_decide 1;
+  let evals0 = evals disp name in
+  let w = words_per_call warm_calls d.Test_support.hd_decide in
+  check_int "every warm call was a memo hit" evals0 (evals disp name);
+  check_str "served by the cache" "cache" (PD.decision_engine_name disp);
+  let bound = List.assoc name memo_hit_words in
+  check
+    (Printf.sprintf "memo-hit decide_%s allocates <= %g words (%.2f)" name
+       bound w)
+    true (w <= bound)
+
+let test_slot_hit_alloc name () =
+  let disp, d = driver name in
+  d.Test_support.hd_decide 0;
+  let hits0 = DC.hits (PD.cache disp) in
+  let w = words_per_call warm_calls (fun _ -> d.Test_support.hd_decide 0) in
+  check_int "every warm call was a front-slot hit" (hits0 + warm_calls)
+    (DC.hits (PD.cache disp));
+  check_int "the table was never consulted" 1 (DC.misses (PD.cache disp));
+  check (Printf.sprintf "front-slot decide_%s allocates nothing (%.4f)" name w)
+    true (w < 0.01)
 
 (* --- /proc/protego/cache_stats ------------------------------------------ *)
 
@@ -523,9 +540,15 @@ let suites =
         Alcotest.test_case "plane memo keys are exact" `Quick
           test_plane_key_exact ]);
     ("cache:alloc",
-      [ Alcotest.test_case "plane memo hit and journal append" `Quick
-          test_plane_alloc;
-        Alcotest.test_case "nf_output memo hit" `Quick test_nf_alloc ]);
+      Alcotest.test_case "plane memo hit and journal append" `Quick
+        test_plane_alloc
+      :: List.concat_map
+          (fun (name, _) ->
+            [ Alcotest.test_case (name ^ " memo hit") `Quick
+                (test_memo_hit_alloc name);
+              Alcotest.test_case (name ^ " front-slot hit") `Quick
+                (test_slot_hit_alloc name) ])
+          memo_hit_words);
     ("cache:proc",
       [ Alcotest.test_case "/proc/protego/cache_stats" `Quick
           test_cache_stats_proc ]);

@@ -186,21 +186,21 @@ let test_filter_stats_proc () =
   let write s =
     Syscall.write_file m root "/proc/protego/filter_stats" s
   in
-  check "pfm engine header" true (contains (read ()) "engine pfm\n");
+  check "hook lines lead" true (Test_support.starts_with (read ()) "hook mount ");
   List.iter
     (fun h -> check ("hook line: " ^ h) true (contains (read ()) ("hook " ^ h ^ " ")))
     [ "mount"; "umount"; "bind"; "nf_output"; "ppp_ioctl" ];
-  (* Engine selection is exposed through the same file. *)
-  Syntax.expect_ok "switch to ref" (write "engine ref\n");
-  check "ref engine selected" true (PD.engine disp = `Ref);
-  check "ref engine header" true (contains (read ()) "engine ref\n");
-  (* Both engines produce the same decisions. *)
-  Syntax.expect_ok "mount under ref"
+  (* There is one engine: selecting one is an unknown command. *)
+  List.iter
+    (fun cmd ->
+      Alcotest.(check (result unit errno))
+        (cmd ^ " rejected") (Error Errno.EINVAL) (write (cmd ^ "\n")))
+    [ "engine ref"; "engine pfm" ];
+  Syntax.expect_ok "mount"
     (Syscall.mount m alice ~source:"/dev/cdrom" ~target:"/media/cdrom"
        ~fstype:"iso9660" ~flags:user_flags);
-  Syntax.expect_ok "umount under ref" (Syscall.umount m alice ~target:"/media/cdrom");
-  check_int "ref evals tallied" 1 (List.assoc "umount" (PD.stats disp)).PD.evals;
-  Syntax.expect_ok "back to pfm" (write "engine pfm\n");
+  Syntax.expect_ok "umount" (Syscall.umount m alice ~target:"/media/cdrom");
+  check_int "evals tallied" 1 (List.assoc "umount" (PD.stats disp)).PD.evals;
   Syntax.expect_ok "reset" (write "reset\n");
   check_int "reset zeroes" 0 (List.assoc "mount" (PD.stats disp)).PD.evals;
   Alcotest.(check (result unit errno))

@@ -194,10 +194,7 @@ module Bindconf = Protego_policy.Bindconf
 module Pppopts = Protego_policy.Pppopts
 module Ppp = Protego_net.Ppp
 
-let filter_rule (r : PS.mount_rule) : Compile.mount_rule =
-  { Compile.fm_source = r.PS.mr_source; fm_target = r.PS.mr_target;
-    fm_fstype = r.PS.mr_fstype; fm_flags = r.PS.mr_flags;
-    fm_user_only = (r.PS.mr_mode = `User); fm_phase = r.PS.mr_phase }
+let filter_rule = Protego_core.Pfm_dispatch.filter_rule
 
 let sources = [ "/dev/cdrom"; "/dev/sdb1"; "fuse"; "/dev/sda2"; "10.0.0.7:/export" ]
 let targets = [ "/media/cdrom"; "/media/usb"; "/mnt/a"; "/mnt/b" ]

@@ -425,11 +425,12 @@ let run_with_reloads plane (sched : Workload.schedule) =
   in
   Plane.run plane ~reloads sched.Workload.s_requests
 
-(* The tentpole acceptance test: 20k requests over 4 domains in [`Both]
-   mode.  Plane.run itself fails if the journal stitch and the spool
-   merge ever disagree; on top of that the journal replay must
-   reproduce every verdict and errno against the snapshot history, in
-   submission order, with zero lost and zero duplicated records. *)
+(* 20k requests over 4 domains under reload storms.  The run's audit
+   view is stitched from the journal (Plane.run fails on any lost or
+   duplicated record); the stitched records must agree with the live
+   outcomes and the oracle, and the journal replay must reproduce every
+   verdict and errno against the snapshot history, in submission
+   order. *)
 let test_replay_differential () =
   let sp =
     { (spec ~seed:13 ~phases:storm_phases ()) with Workload.loop = `Closed }
@@ -439,7 +440,6 @@ let test_replay_differential () =
   let sched = Workload.generate sp ~workers:4 in
   let st = fresh_state sp in
   let plane = Plane.create ~domains:4 st in
-  Plane.set_audit_mode plane `Both;
   let run_id = Plane.runs plane in
   let rr = run_with_reloads plane sched in
   check_int "audit complete" n (Array.length rr.Plane.rr_audit);
@@ -576,12 +576,20 @@ let test_proc_journal () =
       | Ok () -> check_int "reset via proc" 0 (Plane.rotations plane)
       | Error _ -> Alcotest.fail "cannot write reset");
       (* Mode switching through /proc/protego/plane. *)
-      (match Syscall.write_file m root "/proc/protego/plane" "audit spool" with
-      | Ok () -> check_bool "mode applied" true (Plane.audit_mode plane = `Spool)
+      (match Syscall.write_file m root "/proc/protego/plane" "audit off" with
+      | Ok () -> check_bool "mode applied" true (Plane.audit_mode plane = `Off)
       | Error _ -> Alcotest.fail "cannot switch audit mode");
-      match Syscall.read_file m root "/proc/protego/plane" with
-      | Ok s -> check_bool "mode rendered" true (contains s "audit mode spool")
+      (match Syscall.read_file m root "/proc/protego/plane" with
+      | Ok s -> check_bool "mode rendered" true (contains s "audit mode off")
       | Error _ -> Alcotest.fail "cannot re-read /proc/protego/plane");
+      (* The journal is the only sink. *)
+      List.iter
+        (fun cmd ->
+          match Syscall.write_file m root "/proc/protego/plane" cmd with
+          | Error Protego_base.Errno.EINVAL -> ()
+          | _ -> Alcotest.failf "%s must be EINVAL" cmd)
+        [ "audit spool"; "audit both" ];
+      check_bool "mode unchanged" true (Plane.audit_mode plane = `Off));
   (match Syscall.write_file m root "/proc/protego/journal" "bogus" with
   | Error Protego_base.Errno.EINVAL -> ()
   | _ -> Alcotest.fail "bogus journal write must be EINVAL");

@@ -432,12 +432,12 @@ let test_differential_domains () =
   let sched = Workload.generate sp ~workers:4 in
   check_int "schedule length" n (Array.length sched.Workload.s_requests);
   check_bool "storm produced reloads" true (sched.Workload.s_reloads <> []);
-  (* Sequential reference: 1 domain, ref engine, same storms. *)
+  (* Sequential reference: 1 domain, inline and deterministic, same
+     storms. *)
   let st_seq = fresh_state sp in
   let seq = Plane.create ~domains:1 st_seq in
-  Plane.set_engine seq `Ref;
   let rr_seq = run_with_reloads seq sched in
-  (* Parallel run: 4 domains, compiled engine, same storms. *)
+  (* Parallel run: 4 domains, same storms. *)
   let st_par = fresh_state sp in
   let par = Plane.create ~domains:4 st_par in
   let rr_par = run_with_reloads par sched in
@@ -451,11 +451,15 @@ let test_differential_domains () =
         Alcotest.failf "errno divergence at %d" i;
       (* Storm reloads preserve semantics, so the fixed-policy oracle
          also holds, whatever snapshot epoch served the decision. *)
-      let expect = oracle st_par sched.Workload.s_requests.(i) in
+      let req = sched.Workload.s_requests.(i) in
+      let expect = oracle st_par req in
       if (o.Plane.o_verdict = Pfm.Allow) <> expect then
-        Alcotest.failf "oracle divergence at %d" i)
+        Alcotest.failf "oracle divergence at %d" i;
+      let errno = if expect then None else Some (Plane.request_deny_errno req) in
+      if o.Plane.o_errno <> errno then
+        Alcotest.failf "errno diverges from the hook's deny errno at %d" i)
     rr_par.Plane.rr_outcomes;
-  (* Audit-spool integrity: exactly one record per request, in order. *)
+  (* Journaled audit integrity: exactly one record per request, in order. *)
   check_int "audit count" n (Array.length rr_par.Plane.rr_audit);
   Array.iteri
     (fun i (a : Plane.audit_entry) ->
@@ -633,15 +637,20 @@ let test_proc_render_and_write () =
   let st = fresh_state sp in
   let plane = Plane.create st in
   check_bool "initial render" true
-    (contains (Plane.render plane) "plane domains 1 engine pfm epoch 0 runs 0");
+    (contains (Plane.render plane) "plane domains 1 epoch 0 runs 0");
   Alcotest.(check (result unit string))
     "domains write" (Ok ())
     (Plane.handle_write plane "domains 4");
   check_int "domains applied" 4 (Plane.domains plane);
-  Alcotest.(check (result unit string))
-    "engine write" (Ok ())
-    (Plane.handle_write plane "engine ref");
-  check_bool "engine applied" true (Plane.engine plane = `Ref);
+  (* Neither an engine nor an audit sink other than the journal is
+     selectable. *)
+  List.iter
+    (fun cmd ->
+      check_bool (cmd ^ " is an unknown command") true
+        (match Plane.handle_write plane cmd with
+         | Error msg -> contains msg "unknown command"
+         | Ok () -> false))
+    [ "engine ref"; "engine pfm"; "audit spool"; "audit both" ];
   Alcotest.(check (result unit string))
     "publish write" (Ok ())
     (Plane.handle_write plane "publish");
@@ -757,6 +766,55 @@ let test_set_domains_in_flight () =
   check_int "domains unchanged by the race" 1 (Plane.domains plane);
   check_bool "running cleared after the run" false (Plane.running plane)
 
+(* Journal rotation swaps the store the live workers' terms write into,
+   so it is refused while a run is in flight — directly, through a
+   /proc write, and from a reload action of a real run, whose outcomes
+   and stitched trail must then come through intact. *)
+let test_rotation_in_flight () =
+  let sp = spec () in
+  let st = fresh_state sp in
+  let plane = Plane.create ~domains:1 st in
+  let refused what f =
+    try
+      f ();
+      Alcotest.failf "%s accepted mid-run" what
+    with Invalid_argument msg ->
+      check_bool (what ^ " names the condition") true (contains msg "in flight")
+  in
+  ignore (Plane.sim_begin plane : int);
+  refused "rotate_journal" (fun () -> Plane.rotate_journal plane);
+  refused "reset_journal" (fun () -> Plane.reset_journal plane);
+  List.iter
+    (fun cmd ->
+      match Plane.handle_journal_write plane cmd with
+      | Error msg ->
+          check_bool (cmd ^ " write refused") true (contains msg "in flight")
+      | Ok () -> Alcotest.failf "journal %s write accepted mid-run" cmd)
+    [ "rotate"; "reset" ];
+  Plane.sim_end plane;
+  check_int "nothing rotated" 0 (Plane.rotations plane);
+  let reqs = (Workload.generate sp ~workers:1).Workload.s_requests in
+  let n = Array.length reqs in
+  let answer = ref None in
+  let reloads =
+    [ (100, fun () -> answer := Some (Plane.handle_journal_write plane "rotate")) ]
+  in
+  let rr = Plane.run plane ~reloads reqs in
+  (match !answer with
+   | Some (Error msg) ->
+       check_bool "mid-run rotate refused" true (contains msg "in flight")
+   | Some (Ok ()) -> Alcotest.fail "mid-run rotate accepted"
+   | None -> Alcotest.fail "reload action never fired");
+  check_int "still nothing rotated" 0 (Plane.rotations plane);
+  check_int "outcomes intact" n (Array.length rr.Plane.rr_outcomes);
+  check_bool "trail complete" true (rr.Plane.rr_audit_lost = None);
+  check_int "audit intact" n (Array.length rr.Plane.rr_audit);
+  (* Between runs the write goes through. *)
+  Alcotest.(check (result unit string))
+    "rotate between runs" (Ok ())
+    (Plane.handle_journal_write plane "rotate");
+  check_int "rotated" 1 (Plane.rotations plane)
+
 (* --- bounded history vs journal replay ----------------------------------- *)
 
 let test_replay_after_rotate_and_reset () =
@@ -848,7 +906,9 @@ let suites =
          test_semantic_flip_never_torn ]);
     ("plane:guard",
      [ Alcotest.test_case "set_domains refused in flight" `Quick
-         test_set_domains_in_flight ]);
+         test_set_domains_in_flight;
+       Alcotest.test_case "journal rotation refused in flight" `Quick
+         test_rotation_in_flight ]);
     ("plane:replay",
      [ Alcotest.test_case "rotate and reset invalidate the stitch" `Quick
          test_replay_after_rotate_and_reset;

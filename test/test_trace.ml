@@ -335,7 +335,7 @@ let test_latency_proc () =
   check "memo hit counted against its own series" true
     (contains body "hook mount engine cache count 1 p50 127 p90 127 p99 127 max 64\n");
   check "untouched hooks stay at zero" true
-    (contains body "hook ppp_ioctl engine ref count 0 p50 0 p90 0 p99 0 max 0\n");
+    (contains body "hook ppp_ioctl engine pfm count 0 p50 0 p90 0 p99 0 max 0\n");
   (* reset zeroes the histograms but keeps the registered series. *)
   Syntax.expect_ok "reset" (write "reset\n");
   check "reset zeroes the counts" true
@@ -424,6 +424,50 @@ let test_tracing_preserves_verdicts () =
     (List.exists (fun k -> k.Trace.k_count > 0) (Trace.keys tr));
   check "spans were recorded" true (Trace.spans tr <> [])
 
+(* --- per-hook span stages -------------------------------------------------- *)
+
+(* The span stages of a real decision on every dispatcher hook, by
+   position: an engine miss walks slot -> table -> engine under "pfm", a
+   memo hit stops at the table under "cache", and a front-slot hit
+   records the slot alone.  Offsets are cumulative and ordered. *)
+let test_hook_stages name () =
+  let disp = PD.create () in
+  let d =
+    List.find
+      (fun d -> d.Test_support.hd_name = name)
+      (Test_support.hook_drivers disp)
+  in
+  let tr = PD.trace disp in
+  Trace.set_clock tr (Test_support.counter_clock ());
+  Trace.set_spans tr true;
+  let last () =
+    match List.rev (Trace.spans tr) with
+    | sp :: _ -> sp
+    | [] -> Alcotest.fail "no span recorded"
+  in
+  let expect what engine stages =
+    let sp = last () in
+    Alcotest.(check string) (what ^ ": hook") name sp.Trace.sp_hook;
+    Alcotest.(check string) (what ^ ": engine") engine sp.Trace.sp_engine;
+    Alcotest.(check (list string)) (what ^ ": stages") stages
+      (List.map fst sp.Trace.sp_stages);
+    let offs = List.map snd sp.Trace.sp_stages in
+    check (what ^ ": offsets ascend") true
+      (List.sort compare offs = offs && List.for_all (fun o -> o > 0) offs);
+    check (what ^ ": stages end within the span") true
+      (List.for_all (fun o -> o <= sp.Trace.sp_ns) offs);
+    check (what ^ ": audit sees the span") true
+      (PD.last_span disp = Some sp.Trace.sp_id)
+  in
+  d.Test_support.hd_decide 0;
+  expect "engine miss" "pfm" [ "slot"; "table"; "engine" ];
+  d.Test_support.hd_decide 1;
+  expect "second engine miss" "pfm" [ "slot"; "table"; "engine" ];
+  d.Test_support.hd_decide 0;
+  expect "memo hit" "cache" [ "slot"; "table" ];
+  d.Test_support.hd_decide 0;
+  expect "front-slot hit" "cache" [ "slot" ]
+
 let suites =
   [ ("trace:histogram",
       [ Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
@@ -431,7 +475,12 @@ let suites =
           test_percentile_oracle;
         QCheck_alcotest.to_alcotest ~long:false prop_percentile ]);
     ("trace:spans",
-      [ Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound ]);
+      Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound
+      :: List.map
+           (fun name ->
+             Alcotest.test_case (name ^ " stage ladder") `Quick
+               (test_hook_stages name))
+           [ "mount"; "umount"; "bind"; "ppp_ioctl"; "nf_output" ]);
     ("trace:proc",
       [ Alcotest.test_case "/proc/protego/trace" `Quick test_trace_proc;
         Alcotest.test_case "/proc/protego/latency" `Quick test_latency_proc ]);
