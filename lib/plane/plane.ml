@@ -1,5 +1,6 @@
 module PS = Protego_core.Policy_state
 module DC = Protego_core.Decision_cache
+module PD = Protego_core.Pfm_dispatch
 module Trace = Protego_core.Trace
 module Pfm = Protego_filter.Pfm
 module Compile = Protego_filter.Pfm_compile
@@ -40,6 +41,9 @@ let hook_name = function
   | 3 -> "ppp_ioctl"
   | _ -> invalid_arg "Plane.hook_name"
 
+(* A denial's errno per hook index: EACCES for bind, EPERM for the rest. *)
+let hook_errno = function 2 -> Errno.EACCES | _ -> Errno.EPERM
+
 let subject_of = function
   | Mount { subject; _ } | Umount { subject; _ } | Bind { subject; _ }
   | Ppp_ioctl { subject; _ } ->
@@ -78,29 +82,6 @@ let capacity_per_sec rr =
     (fun acc ns -> if Float.is_finite ns && ns > 0. then acc +. (1e9 /. ns) else acc)
     0. rr.rr_min_op_ns
 
-(* One-entry front slot per hook, ahead of the worker's memo table.
-   Keyed on the request value by physical identity plus the snapshot
-   epoch (same epoch implies the same generation vector — epochs only
-   ever move by publication) and the worker cache's epoch (a [reset]
-   must kill slots, as in the sequential dispatcher).  An unfilled slot
-   holds [no_request], a placeholder no caller can pass (and the -1 epoch
-   never matches anyway), so a refill stores the request without boxing
-   it in an option. *)
-type slot = {
-  mutable f_sepoch : int;  (* snapshot epoch; -1: never filled *)
-  mutable f_cepoch : int;  (* worker decision-cache epoch *)
-  mutable f_phase : int;   (* subject phase index the verdict was served under *)
-  mutable f_req : request;
-  mutable f_verdict : Pfm.verdict;
-  mutable f_errno : Errno.t option;
-}
-
-let no_request = Umount { subject = -1; target = "<none>"; mounted_by = -1 }
-
-let fresh_slot () =
-  { f_sepoch = -1; f_cepoch = 0; f_phase = 0; f_req = no_request;
-    f_verdict = Pfm.Deny; f_errno = None }
-
 (* Everything a worker touches on a decision is domain-private; the only
    shared reads are the snapshot pointer and the clock configuration
    (constant during a run). *)
@@ -112,15 +93,9 @@ type worker = {
   w_id : int;
   mutable w_term : J.term;         (* this worker's journal write handle *)
   w_cache : DC.t;
-  w_ch : DC.hook array;            (* per hook, this worker's cache hooks *)
-  w_slots : slot array;            (* per hook *)
+  w_hooks : request PD.hook array; (* per hook, the decision ladder *)
   mutable w_snap : Snapshot.t;
   mutable w_progs : Snapshot.progs;
-  w_gens : int array array;        (* per-hook scratch generation vectors *)
-  w_dec : int array;               (* per-hook decisions served *)
-  w_allow : int array;
-  w_deny : int array;
-  w_evals : int array;             (* per-hook engine evaluations *)
   w_completed : int Atomic.t;      (* this run's progress, coordinator-read *)
   mutable w_min_op_ns : float;     (* min per-op cost over timed batches *)
   mutable w_sample : int;          (* latency sampling phase counter *)
@@ -130,18 +105,18 @@ type worker = {
 
 let make_worker ?cache_capacity journal id snap =
   let cache = DC.create ?capacity:cache_capacity () in
-  let ch = Array.init hook_count (fun hi -> DC.register cache (hook_name hi)) in
   let tr = Trace.create () in
+  (* The empty slots' placeholder: never matched (see {!PD.hook}). *)
+  let args = Umount { subject = -1; target = ""; mounted_by = -1 } in
   let keys =
     Array.init hook_count (fun hi ->
         Trace.register tr ~hook:(hook_name hi) ~engine:"plane")
   in
-  { w_id = id; w_term = J.term journal ~domain:id; w_cache = cache; w_ch = ch;
-    w_slots = Array.init hook_count (fun _ -> fresh_slot ());
+  { w_id = id; w_term = J.term journal ~domain:id; w_cache = cache;
+    w_hooks =
+      Array.init hook_count (fun hi ->
+          PD.hook cache tr (hook_name hi) ~errno:(Some (hook_errno hi)) ~args);
     w_snap = snap; w_progs = Snapshot.clone_progs snap;
-    w_gens = Array.init hook_count (fun _ -> [| 0 |]);
-    w_dec = Array.make hook_count 0; w_allow = Array.make hook_count 0;
-    w_deny = Array.make hook_count 0; w_evals = Array.make hook_count 0;
     w_completed = Atomic.make 0; w_min_op_ns = infinity; w_sample = 0;
     w_trace = tr; w_keys = keys }
 
@@ -290,12 +265,7 @@ let reset_phases t = Array.iter (fun a -> Atomic.set a 0) t.phases
 
 (* --- the decision ------------------------------------------------------- *)
 
-(* A denial's errno per hook index: EACCES for bind, EPERM for the
-   rest.  Shared options, so an engine-served denial allocates none. *)
-let deny_errnos =
-  [| Some Errno.EPERM; Some Errno.EPERM; Some Errno.EACCES; Some Errno.EPERM |]
-
-let request_deny_errno req = Option.get deny_errnos.(hook_index req)
+let request_deny_errno req = hook_errno (hook_index req)
 
 (* Programs a publish carried over are [==] across snapshots, so the
    worker keeps its private clone of those and clones only the rest. *)
@@ -304,37 +274,6 @@ let adopt w snap =
     w.w_progs <- Snapshot.adopt_progs ~prev:w.w_snap w.w_progs snap;
     w.w_snap <- snap
   end
-
-let refill w hi snap req ~ph ~verdict ~errno =
-  let s = w.w_slots.(hi) in
-  s.f_sepoch <- snap.Snapshot.epoch;
-  s.f_cepoch <- DC.epoch w.w_cache;
-  s.f_phase <- ph;
-  s.f_req <- req;
-  s.f_verdict <- verdict;
-  s.f_errno <- errno
-
-let tally w hi (v : Pfm.verdict) =
-  w.w_dec.(hi) <- w.w_dec.(hi) + 1;
-  match v with
-  | Pfm.Allow -> w.w_allow.(hi) <- w.w_allow.(hi) + 1
-  | Pfm.Deny | Pfm.Reject -> w.w_deny.(hi) <- w.w_deny.(hi) + 1
-
-let slot_valid w hi snap req ~ph =
-  let s = w.w_slots.(hi) in
-  s.f_sepoch = snap.Snapshot.epoch
-  && s.f_cepoch = DC.epoch w.w_cache
-  && s.f_phase = ph
-  && s.f_req == req
-
-let snapshot_oracle ?phase snap = function
-  | Mount { source; target; fstype; flags; _ } ->
-      Snapshot.ref_mount ?phase snap ~source ~target ~fstype ~flags
-  | Umount { subject; target; mounted_by } ->
-      Snapshot.ref_umount ?phase snap ~target ~mounted_by ~ruid:subject
-  | Bind { subject; port; proto; exe } ->
-      Snapshot.ref_bind ?phase snap ~port ~proto ~exe ~uid:subject
-  | Ppp_ioctl { device; opt; _ } -> Snapshot.ref_ppp ?phase snap ~device ~opt
 
 (* The PFM context of a request: the memo key and the engine input. *)
 let request_ctx ~ph = function
@@ -346,56 +285,37 @@ let request_ctx ~ph = function
       Compile.bind_ctx ~phase:ph ~port ~proto ~exe ~uid:subject
   | Ppp_ioctl { device; opt; _ } -> Compile.ppp_ctx ~phase:ph ~device ~opt
 
-(* Serve one request on a worker against the currently published
-   snapshot: front slot -> memo table -> engine, exactly the sequential
-   dispatcher's ladder, but over domain-private structures.  [ph] is
-   the subject's phase index, read once before the ladder: it keys the
-   front slot and, as the leading field of the ctx, the memo table, so a
-   phase transition strands exactly the transitioning subject's cached
-   verdicts, and it selects the per-phase ladder inside the compiled
-   programs. *)
+let program (progs : Snapshot.progs) = function
+  | Mount _ -> progs.Snapshot.p_mount
+  | Umount _ -> progs.Snapshot.p_umount
+  | Bind _ -> progs.Snapshot.p_bind
+  | Ppp_ioctl _ -> progs.Snapshot.p_ppp
+
+(* Serve one request on a worker against [snap] through the shared
+   ladder ({!PD.serve}) over domain-private structures.  The front slot
+   keys on the request by physical identity and on the generation of
+   the source the hook reads, as the memo table does: a publish that
+   left that source alone also left its program alone, so the slot
+   survives it.  [ph] is the subject's phase index, read once before
+   the ladder: it keys the front slot and, as the leading field of the
+   ctx, the memo table, so a phase transition strands exactly the
+   transitioning subject's cached verdicts, and it selects the
+   per-phase ladder inside the compiled programs. *)
 let decide_with w snap req ~ph =
   adopt w snap;
   let hi = hook_index req in
-  if slot_valid w hi snap req ~ph then begin
-    let s = w.w_slots.(hi) in
-    DC.record_hit w.w_cache w.w_ch.(hi);
-    tally w hi s.f_verdict;
-    { o_verdict = s.f_verdict; o_errno = s.f_errno;
-      o_epoch = snap.Snapshot.epoch; o_phase = ph }
-  end
-  else begin
-    let gens = w.w_gens.(hi) in
-    gens.(0) <- snap.Snapshot.gens.(gens_index.(hi));
-    let subject = subject_of req in
-    let ctx = request_ctx ~ph req in
-    match DC.find w.w_cache w.w_ch.(hi) ~subject ~ctx ~gens with
-    | Some (v, e) ->
-        tally w hi v;
-        refill w hi snap req ~ph ~verdict:v ~errno:e;
-        { o_verdict = v; o_errno = e; o_epoch = snap.Snapshot.epoch;
-          o_phase = ph }
-    | None ->
-        let progs = w.w_progs in
-        let v =
-          Pfm.eval
-            (match req with
-             | Mount _ -> progs.Snapshot.p_mount
-             | Umount _ -> progs.Snapshot.p_umount
-             | Bind _ -> progs.Snapshot.p_bind
-             | Ppp_ioctl _ -> progs.Snapshot.p_ppp)
-            ctx
-        in
-        let e =
-          match v with Pfm.Allow -> None | Pfm.Deny | Pfm.Reject -> deny_errnos.(hi)
-        in
-        w.w_evals.(hi) <- w.w_evals.(hi) + 1;
-        tally w hi v;
-        DC.add w.w_cache w.w_ch.(hi) ~subject ~ctx ~gens ~verdict:v ~errno:e;
-        refill w hi snap req ~ph ~verdict:v ~errno:e;
-        { o_verdict = v; o_errno = e; o_epoch = snap.Snapshot.epoch;
-          o_phase = ph }
-  end
+  let h = w.w_hooks.(hi) in
+  let gen = snap.Snapshot.gens.(gens_index.(hi)) in
+  let sub = subject_of req in
+  let v =
+    if PD.slot_live h ~gen ~sub ~ph ~x:0 && PD.slot_args h == req then
+      PD.slot_hit h
+    else
+      PD.serve h ~prog:(program w.w_progs req) ~sub ~ph ~x:0 ~args:req
+        ~ctx:(request_ctx ~ph req)
+  in
+  { o_verdict = v; o_errno = PD.deny_errno h v; o_epoch = snap.Snapshot.epoch;
+    o_phase = ph }
 
 let request_phase t req =
   Atomic.get (phase_slot t (subject_of req))
@@ -628,35 +548,16 @@ type hook_totals = {
 
 let hook_stats t =
   List.init hook_count (fun hi ->
-      let sum f = Array.fold_left (fun acc w -> acc + f w) 0 t.workers in
-      let hits =
-        sum (fun w ->
-            let h = List.nth (DC.hook_stats w.w_cache) hi in
-            h.DC.h_hits)
+      let sum f =
+        Array.fold_left (fun acc w -> acc + f w.w_hooks.(hi)) 0 t.workers
       in
+      let count f = sum (fun h -> f (PD.counters h)) in
       ( hook_name hi,
-        { ht_decisions = sum (fun w -> w.w_dec.(hi));
-          ht_allow = sum (fun w -> w.w_allow.(hi));
-          ht_deny = sum (fun w -> w.w_deny.(hi));
-          ht_evals = sum (fun w -> w.w_evals.(hi));
-          ht_hits = hits } ))
-
-(* Percentile over summed per-worker histograms, the same bucket-walk
-   {!Trace.percentile} does on a single key. *)
-let merged_pct buckets total ~pct =
-  if total = 0 then 0
-  else
-    let need =
-      let p = total * pct in
-      (p / 100) + (if p mod 100 = 0 then 0 else 1)
-    in
-    let rec go i acc =
-      if i >= Trace.bucket_count then Trace.bucket_upper (Trace.bucket_count - 1)
-      else
-        let acc = acc + buckets.(i) in
-        if acc >= need then Trace.bucket_upper i else go (i + 1) acc
-    in
-    go 0 0
+        { ht_decisions = count (fun c -> c.PD.decisions);
+          ht_allow = count (fun c -> c.PD.granted);
+          ht_deny = count (fun c -> c.PD.decisions - c.PD.granted);
+          ht_evals = count (fun c -> c.PD.evals);
+          ht_hits = sum (fun h -> (PD.cache_hook h).DC.h_hits) } ))
 
 let merged_latency t hi =
   let buckets = Array.make Trace.bucket_count 0 in
@@ -686,11 +587,14 @@ let render t =
     (Printf.sprintf "record %s\n" (if t.record then "on" else "off"));
   Array.iter
     (fun w ->
+      let count f =
+        Array.fold_left (fun acc h -> acc + f (PD.counters h)) 0 w.w_hooks
+      in
       Buffer.add_string b
         (Printf.sprintf "worker %d decisions %d evals %d hits %d misses %d stale %d\n"
            w.w_id
-           (Array.fold_left ( + ) 0 w.w_dec)
-           (Array.fold_left ( + ) 0 w.w_evals)
+           (count (fun c -> c.PD.decisions))
+           (count (fun c -> c.PD.evals))
            (DC.hits w.w_cache) (DC.misses w.w_cache)
            (DC.stale_evictions w.w_cache)))
     t.workers;
@@ -706,9 +610,9 @@ let render t =
       Buffer.add_string b
         (Printf.sprintf "latency hook %s count %d p50 %d p90 %d p99 %d\n"
            (hook_name hi) total
-           (merged_pct buckets total ~pct:50)
-           (merged_pct buckets total ~pct:90)
-           (merged_pct buckets total ~pct:99))
+           (Trace.percentile_of buckets ~count:total ~pct:50)
+           (Trace.percentile_of buckets ~count:total ~pct:90)
+           (Trace.percentile_of buckets ~count:total ~pct:99))
   done;
   Buffer.contents b
 
@@ -808,6 +712,9 @@ let request_oracle ?phase (st : PS.t) = function
       PS.bind_allowed ?phase st ~port ~proto ~exe ~uid:subject
   | Ppp_ioctl { device; opt; _ } ->
       PS.ppp_ioctl_decision ?phase st ~device ~opt
+
+let snapshot_oracle ?phase snap req =
+  request_oracle ?phase snap.Snapshot.frozen req
 
 (* --- simulation hooks --------------------------------------------------- *)
 

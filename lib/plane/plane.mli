@@ -4,16 +4,19 @@
     The sequential dispatcher ({!Protego_core.Pfm_dispatch}) serves one
     caller at a time over global mutable state.  A real LSM answers the
     same hooks concurrently from every CPU; this module is that shape on
-    OCaml 5 Domains.  Per worker domain: a private decision cache, a
-    per-hook front slot keyed to the snapshot epoch, private compiled
-    programs (counters and all), private filter/latency counters, and a
-    private journal term — so the warm path shares {e nothing} writable
-    between domains.  The only cross-domain communication on a decision
-    is one [Atomic.get] of the current {!Snapshot.t}.  Policy changes
-    build a new snapshot off to the side and swap the pointer
-    ({!publish}); in-flight decisions finish against whichever snapshot
-    they acquired, so every verdict is consistent with exactly one
-    published policy — never a torn mix (DESIGN.md §6).
+    OCaml 5 Domains.  Per worker domain: a private decision cache, one
+    decision ladder per hook ({!Protego_core.Pfm_dispatch.hook}, the
+    dispatcher's own code: a front slot keyed on the request and the
+    generation of the source the hook reads, the memo table, counters),
+    private compiled programs (counters and all), private latency
+    series, and a private journal term — so the warm path shares
+    {e nothing} writable between domains.  The only cross-domain
+    communication on a decision is one [Atomic.get] of the current
+    {!Snapshot.t}.  Policy changes build a new snapshot off to the side
+    and swap the pointer ({!publish}); in-flight decisions finish
+    against whichever snapshot they acquired, so every verdict is
+    consistent with exactly one published policy — never a torn mix
+    (DESIGN.md §6).
 
     Audit: the plane's one sink is the lock-free binary journal
     ({!Protego_journal.Journal}) — each worker holds a private {e term}
@@ -229,7 +232,7 @@ val request_oracle : ?phase:Protego_base.Phase.t -> PS.t -> request -> bool
 
 val snapshot_oracle :
   ?phase:Protego_base.Phase.t -> Snapshot.t -> request -> bool
-(** Evaluate the request against a frozen snapshot — what
+(** {!request_oracle} on the snapshot's frozen state — what
     [always (verdict = snapshot_at(epoch) oracle verdict)] checks. *)
 
 val request_deny_errno : request -> Protego_base.Errno.t

@@ -1,4 +1,5 @@
 module J = Protego_journal.Journal
+module PS = Protego_core.Policy_state
 module Errno = Protego_base.Errno
 module Ktypes = Protego_kernel.Ktypes
 
@@ -45,15 +46,16 @@ let errno_name = function
    string ({!Plane.split_phase}); peel it off and re-evaluate under
    exactly that phase, so a decision journaled across a phase
    transition replays against the phase that actually served it. *)
-let expected_allow snap (dec : J.decision) =
+let expected_allow (snap : Snapshot.t) (dec : J.decision) =
+  let frozen = snap.Snapshot.frozen in
   match dec.J.d_req with
   | J.Mount { source; target; fstype; flags } ->
       let ph, source = Plane.split_phase source in
-      Snapshot.ref_mount ~phase:(Protego_base.Phase.of_index ph) snap ~source
+      PS.mount_decision ~phase:(Protego_base.Phase.of_index ph) frozen ~source
         ~target ~fstype ~flags:(flags_of_mask flags)
   | J.Umount { target; mounted_by } ->
       let ph, target = Plane.split_phase target in
-      Snapshot.ref_umount ~phase:(Protego_base.Phase.of_index ph) snap ~target
+      PS.umount_decision ~phase:(Protego_base.Phase.of_index ph) frozen ~target
         ~mounted_by ~ruid:dec.J.d_subject
   | J.Bind { port; proto; exe } ->
       let ph, exe = Plane.split_phase exe in
@@ -61,7 +63,7 @@ let expected_allow snap (dec : J.decision) =
         if proto = 1 then Protego_policy.Bindconf.Udp
         else Protego_policy.Bindconf.Tcp
       in
-      Snapshot.ref_bind ~phase:(Protego_base.Phase.of_index ph) snap ~port
+      PS.bind_allowed ~phase:(Protego_base.Phase.of_index ph) frozen ~port
         ~proto ~exe ~uid:dec.J.d_subject
   | J.Ppp { device; safe } ->
       (* The ppp decision depends only on (device, option safety); any
@@ -70,7 +72,8 @@ let expected_allow snap (dec : J.decision) =
       let opt =
         if safe then Protego_net.Ppp.Accomp else Protego_net.Ppp.Default_route
       in
-      Snapshot.ref_ppp ~phase:(Protego_base.Phase.of_index ph) snap ~device ~opt
+      PS.ppp_ioctl_decision ~phase:(Protego_base.Phase.of_index ph) frozen
+        ~device ~opt
 
 let deny_errno (dec : J.decision) =
   match dec.J.d_req with

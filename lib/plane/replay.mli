@@ -35,7 +35,7 @@ val replay :
   snapshot_of_epoch:(int -> Snapshot.t option) -> J.decision array -> report
 (** Re-evaluate every decision against the snapshot its epoch stamp
     names.  Verdict expectation comes from the reference oracle
-    ([Snapshot.ref_*]); errno expectation is the hook's deny errno
+    ([Policy_state.*_decision] on the snapshot's frozen state); errno expectation is the hook's deny errno
     (EACCES for bind, EPERM otherwise) when denied, none when
     allowed. *)
 

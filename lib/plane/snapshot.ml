@@ -86,18 +86,6 @@ let adopt_progs ~prev mine t =
 
 let gen_for t s = t.gens.(PS.source_index s)
 
-let ref_mount ?phase t ~source ~target ~fstype ~flags =
-  PS.mount_decision ?phase t.frozen ~source ~target ~fstype ~flags
-
-let ref_umount ?phase t ~target ~mounted_by ~ruid =
-  PS.umount_decision ?phase t.frozen ~target ~mounted_by ~ruid
-
-let ref_bind ?phase t ~port ~proto ~exe ~uid =
-  PS.bind_allowed ?phase t.frozen ~port ~proto ~exe ~uid
-
-let ref_ppp ?phase t ~device ~opt =
-  PS.ppp_ioctl_decision ?phase t.frozen ~device ~opt
-
 (* --- publication -------------------------------------------------------- *)
 
 type pub = {

@@ -8,9 +8,10 @@
     bit, the caller's lifecycle phase in its leading field — so the
     dispatcher builds it once per miss and uses the same value as memo
     key and engine input.  The lookup order on every filtered hook is
-    {e cache -> compiled PFM -> reference engine}.  Both positive (Allow)
-    and negative (Deny/Reject, with the errno the hook would return)
-    results are cached.
+    {e front slot -> cache -> compiled PFM} (the ladder of
+    {!Pfm_dispatch.serve}, which the decision plane's workers share).
+    Both positive (Allow) and negative (Deny/Reject, with the errno the
+    hook would return) results are cached.
 
     Keys compare field by field (ints by value, strings by content), so
     two requests share an entry exactly when the engine sees the same
@@ -92,8 +93,8 @@ val add :
 (** {1 Front slots}
 
     Building the PFM context and hashing it costs about as much as
-    evaluating a small compiled program, so the dispatcher keeps a
-    one-entry front slot per hook, compared by {e physical} identity of
+    evaluating a small compiled program, so each decision ladder
+    ({!Pfm_dispatch.hook}) keeps a one-entry front slot, compared by {e physical} identity of
     the raw arguments (sound: the argument values are immutable) and
     validated by the same generation stamps.  The two functions below
     keep such slots coherent with this table: a slot is only served while

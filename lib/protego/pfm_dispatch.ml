@@ -14,6 +14,8 @@ module Pfm_equiv = Protego_analysis.Pfm_equiv
 type lint_mode = [ `Warn | `Enforce ]
 
 type hook_stats = {
+  mutable decisions : int;
+  mutable granted : int;
   mutable evals : int;
   mutable allow : int;
   mutable deny : int;
@@ -31,15 +33,15 @@ type 'k watch = { mutable seen : 'k option }
 
 (* One-entry front slot per hook, ahead of the {!Decision_cache} table.
    Where the table keys on the PFM context, the slot keys on the raw
-   arguments by physical identity ('a is the hook's raw tuple) — sound
-   because the argument values are immutable, and cheap enough that a
-   repeated decision costs a handful of compares.  Validity is the same
-   generation check the table uses, plus the cache epoch (a wholesale
-   [clear]/[reset] must not leave a servable slot behind).  [s_x] carries
-   the hook's integer argument (mounted_by, port/proto); hooks without
-   one leave it 0.  [s_args] starts as a placeholder the epoch check
-   never lets through, so a refill stores the arguments without boxing
-   them in an option. *)
+   arguments by physical identity ('a is the caller's argument value) —
+   sound because the argument values are immutable, and cheap enough
+   that a repeated decision costs a handful of compares.  Validity is
+   the same generation check the table uses, plus the cache epoch (a
+   wholesale [clear]/[reset] must not leave a servable slot behind).
+   [s_x] carries an integer argument the identity test does not cover
+   (mounted_by, port/proto); callers without one leave it 0.  [s_args]
+   starts as a placeholder the epoch check never lets through, so a
+   refill stores the arguments without boxing them in an option. *)
 type 'a slot = {
   mutable s_epoch : int;  (* -1: never filled *)
   mutable s_gen : int;
@@ -50,26 +52,37 @@ type 'a slot = {
   mutable s_verdict : Pfm.verdict;
 }
 
-(* Everything one filtered hook owns: its counters, its decision-cache
-   and latency series, the errno a denial carries, its front slot and
-   generation scratch, and its compiled program, cached against the
-   physical identity of the policy source ('k) it was compiled from. *)
-type ('k, 'a) hook = {
+type rung = Slot | Table | Engine
+
+(* One hook's decision ladder: its counters, its memo-table hook, the
+   errno a denial carries, its front slot and its generation scratch
+   (reused on every decision, so the hit path allocates nothing but the
+   PFM context).  The program to run comes from the caller. *)
+type 'a hook = {
+  l_stats : hook_stats;
+  l_cache : Decision_cache.t;
+  l_ch : Decision_cache.hook;
+  l_errno : Errno.t option;  (* None for nf_output *)
+  l_slot : 'a slot;
+  l_gens : int array;
+  l_trace : Trace.t;
+  mutable l_table_at : int;  (* end of the table stage, while spans are on *)
+  mutable l_served : rung;  (* what served the last decision *)
+}
+
+(* A dispatcher hook: the ladder plus its compiled program, cached
+   against the physical identity of the policy source ('k) it was
+   compiled from, and its latency series. *)
+type ('k, 'a) filtered = {
   h_name : string;
-  h_stats : hook_stats;
-  h_ch : Decision_cache.hook;
-  h_errno : Errno.t option;  (* a denial's errno; None for nf_output *)
+  h_lad : 'a hook;
   h_compile : 'k -> Pfm.program;
   mutable h_prog : ('k * Pfm.program) option;
-  h_slot : 'a slot;
-  h_gens : int array;
-      (* scratch generation vector, reused on every decision so the hit
-         path allocates nothing but the PFM context *)
   h_cache_key : Trace.key;  (* latency of slot and memo hits *)
   h_pfm_key : Trace.key;  (* latency of engine runs *)
 }
 
-type any_hook = Hook : (_, _) hook -> any_hook
+type any_hook = Hook : (_, _) filtered -> any_hook
 
 type t = {
   mutable lint_mode : lint_mode;
@@ -83,11 +96,13 @@ type t = {
       (** what served the most recent decision: "cache" or "pfm" *)
   mount : (Policy_state.mount_rule list,
            string * string * string * Protego_kernel.Ktypes.mount_flag list)
-          hook;
-  umount : (Policy_state.mount_rule list, string) hook;
-  bind : (Bindconf.entry list, string) hook;
-  nf : (Netfilter.rule list * Netfilter.verdict, Packet.t * Packet.origin) hook;
-  ppp : (Pppopts.t, string * Protego_net.Ppp.option_) hook;
+          filtered;
+  umount : (Policy_state.mount_rule list, string) filtered;
+  bind : (Bindconf.entry list, string) filtered;
+  nf : (Netfilter.rule list * Netfilter.verdict,
+        Packet.t * Packet.origin)
+       filtered;
+  ppp : (Pppopts.t, string * Protego_net.Ppp.option_) filtered;
   all : any_hook list;  (* {!stats} order *)
   dcache : Decision_cache.t;
   (* physical-identity watches backing the generation counters *)
@@ -117,9 +132,6 @@ type t = {
   mutable opt_log : string list; (* newest first *)
 }
 
-let fresh_stats () =
-  { evals = 0; allow = 0; deny = 0; reject = 0; invalidations = 0; insns = 0 }
-
 let filter_rule (r : Policy_state.mount_rule) : Compile.mount_rule =
   { Compile.fm_source = r.Policy_state.mr_source;
     fm_target = r.Policy_state.mr_target;
@@ -128,14 +140,110 @@ let filter_rule (r : Policy_state.mount_rule) : Compile.mount_rule =
     fm_user_only = (r.Policy_state.mr_mode = `User);
     fm_phase = r.Policy_state.mr_phase }
 
-let make_hook dcache tr name ~errno ~compile ~args =
-  { h_name = name; h_stats = fresh_stats ();
-    h_ch = Decision_cache.register dcache name; h_errno = errno;
-    h_compile = compile; h_prog = None;
-    h_slot =
+(* --- the decision ladder ------------------------------------------------ *)
+
+(* Front slot -> memo table -> engine, with the counters and the slot
+   refill: the one walk every decision takes, whoever the caller.  The
+   caller keeps what is specific to it — the front-slot identity test,
+   the PFM context, the program, and (the dispatcher) spans and the
+   record-mode flip.
+
+   Every task-scoped decision is keyed on the caller's lifecycle phase —
+   in the front slot, the table key, and the PFM context alike — so a
+   phase transition makes exactly the transitioning task's stale entries
+   unreachable (they age out) while other tasks keep hitting. *)
+
+let hook dcache tr name ~errno ~args =
+  { l_stats =
+      { decisions = 0; granted = 0; evals = 0; allow = 0; deny = 0;
+        reject = 0; invalidations = 0; insns = 0 };
+    l_cache = dcache; l_ch = Decision_cache.register dcache name;
+    l_errno = errno;
+    l_slot =
       { s_epoch = -1; s_gen = 0; s_sub = 0; s_ph = 0; s_x = 0; s_args = args;
         s_verdict = Pfm.Deny };
-    h_gens = [| 0 |];
+    l_gens = [| 0 |]; l_trace = tr; l_table_at = 0; l_served = Slot }
+
+let counters l = l.l_stats
+let cache_hook l = l.l_ch
+
+let deny_errno l (v : Pfm.verdict) =
+  match v with Pfm.Allow -> None | Pfm.Deny | Pfm.Reject -> l.l_errno
+
+let tally st (v : Pfm.verdict) =
+  st.decisions <- st.decisions + 1;
+  match v with
+  | Pfm.Allow -> st.granted <- st.granted + 1
+  | Pfm.Deny | Pfm.Reject -> ()
+
+let slot_live l ~gen ~sub ~ph ~x =
+  Array.unsafe_set l.l_gens 0 gen;
+  let s = l.l_slot in
+  Decision_cache.enabled l.l_cache
+  && s.s_epoch = Decision_cache.epoch l.l_cache
+  && s.s_gen = gen && s.s_sub = sub && s.s_ph = ph && s.s_x = x
+
+let[@inline] slot_args l = l.l_slot.s_args
+
+(* A front-slot hit: the caller has matched the arguments. *)
+let slot_hit l =
+  Decision_cache.record_hit l.l_cache l.l_ch;
+  l.l_served <- Slot;
+  let v = l.l_slot.s_verdict in
+  tally l.l_stats v;
+  v
+
+(* Engine evaluations only: slot and memo hits never get here. *)
+let eval l prog ctx =
+  let st = l.l_stats in
+  let before = prog.Pfm.retired in
+  let v = Pfm.eval prog ctx in
+  st.insns <- st.insns + (prog.Pfm.retired - before);
+  st.evals <- st.evals + 1;
+  (match v with
+   | Pfm.Allow -> st.allow <- st.allow + 1
+   | Pfm.Deny -> st.deny <- st.deny + 1
+   | Pfm.Reject -> st.reject <- st.reject + 1);
+  v
+
+(* Past the front slot: memo table, then [prog] on a miss.  The slot is
+   refilled from whichever served — except while the cache is disabled,
+   so a bypassed decision can never be replayed after re-enabling
+   without the table having seen it. *)
+let serve l ~prog ~sub ~ph ~x ~args ~ctx =
+  let gens = l.l_gens in
+  let found = Decision_cache.find l.l_cache l.l_ch ~subject:sub ~ctx ~gens in
+  if Trace.spans_enabled l.l_trace then l.l_table_at <- Trace.now l.l_trace;
+  let v =
+    match found with
+    | Some (v, _) ->
+        l.l_served <- Table;
+        v
+    | None ->
+        let v = eval l prog ctx in
+        Decision_cache.add l.l_cache l.l_ch ~subject:sub ~ctx ~gens ~verdict:v
+          ~errno:(deny_errno l v);
+        l.l_served <- Engine;
+        v
+  in
+  if Decision_cache.enabled l.l_cache then begin
+    let s = l.l_slot in
+    s.s_epoch <- Decision_cache.epoch l.l_cache;
+    s.s_gen <- gens.(0);
+    s.s_sub <- sub;
+    s.s_ph <- ph;
+    s.s_x <- x;
+    s.s_args <- args;
+    s.s_verdict <- v
+  end;
+  tally l.l_stats v;
+  v
+
+(* --- dispatcher hooks --------------------------------------------------- *)
+
+let make_hook dcache tr name ~errno ~compile ~args =
+  { h_name = name; h_lad = hook dcache tr name ~errno ~args;
+    h_compile = compile; h_prog = None;
     h_cache_key = Trace.register tr ~hook:name ~engine:"cache";
     h_pfm_key = Trace.register tr ~hook:name ~engine:"pfm" }
 
@@ -206,14 +314,14 @@ let cache t = t.dcache
 let trace t = t.trace
 let last_span t = if t.last_span = 0 then None else Some t.last_span
 
-let stats t = List.map (fun (Hook h) -> (h.h_name, h.h_stats)) t.all
+let stats t = List.map (fun (Hook h) -> (h.h_name, h.h_lad.l_stats)) t.all
 
 let reset_stats t =
   List.iter
-    (fun (Hook { h_stats = s; _ }) ->
-      s.evals <- 0; s.allow <- 0; s.deny <- 0; s.reject <- 0;
-      s.invalidations <- 0; s.insns <- 0)
-    t.all
+    (fun (_, s) ->
+      s.decisions <- 0; s.granted <- 0; s.evals <- 0; s.allow <- 0;
+      s.deny <- 0; s.reject <- 0; s.invalidations <- 0; s.insns <- 0)
+    (stats t)
 
 let cached_program t name =
   List.find_map
@@ -308,16 +416,15 @@ let opt_statuses t =
 
 (* --- generation vectors ------------------------------------------------- *)
 
-(* Refresh one watched Policy_state source into the hook's generation
-   scratch. *)
-let watch_source watch st source ~key h =
+(* The current generation of one watched Policy_state source. *)
+let watch_source watch st source ~key =
   (match watch.seen with
    | Some k when k == key -> ()
    | Some _ ->
        Policy_state.bump_generation st source;
        watch.seen <- Some key
    | None -> watch.seen <- Some key);
-  h.h_gens.(0) <- Policy_state.generation st source
+  Policy_state.generation st source
 
 (* The netfilter chain lives on the machine, not in Policy_state; its
    generation counter is dispatcher-local. *)
@@ -329,22 +436,15 @@ let watch_chain t nf =
     t.nf_gen <- t.nf_gen + 1;
     t.nf_key <- (rules, policy)
   end;
-  t.nf.h_gens.(0) <- t.nf_gen
+  t.nf_gen
 
-(* --- the decision ladder ------------------------------------------------ *)
+(* --- hook decisions ---------------------------------------------------- *)
 
 (* Every decide_* below keeps only what is specific to its hook — the
    front-slot identity test, the PFM context, the policy source the
-   program compiles from — and hands the rest to this ladder: front
-   slot -> memo table -> engine, with the counters, the slot refill,
-   the span stages [slot]/[table]/[engine] and the record-mode flip.
-
-   Every task-scoped decision is keyed on the caller's lifecycle phase —
-   in the front slot, the table key, and the PFM context alike — so a
-   phase transition makes exactly the transitioning task's stale entries
-   unreachable (they age out) while other tasks keep hitting.  Callers
-   without task context (bench, fuzz) default to [Phase.initial], which
-   is verdict-neutral for unphased policies. *)
+   program compiles from — hands the rest to the ladder, and closes out
+   with [finish].  Callers without task context (bench, fuzz) default to
+   [Phase.initial], which is verdict-neutral for unphased policies. *)
 
 let[@inline] start t = if t.traced then Trace.now t.trace else 0
 
@@ -353,139 +453,80 @@ let[@inline] start t = if t.traced then Trace.now t.trace else 0
 let[@inline] slot_done t =
   if t.traced && Trace.spans_enabled t.trace then Trace.now t.trace else 0
 
-let deny_errno h (v : Pfm.verdict) =
-  match v with Pfm.Allow -> None | Pfm.Deny | Pfm.Reject -> h.h_errno
-
-(* Caches and front slots are fed the TRUE verdict, so record mode never
-   pollutes them: only the value handed back to the hook is flipped, and
-   [last_recorded] tells the hook layer to audit the would-deny. *)
-let served t (v : Pfm.verdict) =
-  t.last_recorded <- t.record && v <> Pfm.Allow;
-  if t.last_recorded then Pfm.Allow else v
-
 let allowed (v : Pfm.verdict) =
   match v with Pfm.Allow -> true | Pfm.Deny | Pfm.Reject -> false
-
-(* Close out a traced decision: the serving series' histogram always sees
-   the latency; a span is recorded only when spans are on ([stages] is
-   oldest-first by then).  Callers only reach this while {!Trace.armed} —
-   the untraced path skips it entirely ([last_span] was zeroed when the
-   tracer disarmed). *)
-let conclude t h (k : Trace.key) ~t0 ~stages ~verdict =
-  let tr = t.trace in
-  let fin = Trace.now tr in
-  Trace.observe k ~ns:(fin - t0);
-  t.last_span <-
-    (match
-       Trace.record_span tr ~hook:k.Trace.k_hook ~engine:k.Trace.k_engine
-         ~verdict ~errno:(deny_errno h verdict) ~gen:h.h_gens.(0)
-         ~epoch:(Decision_cache.epoch t.dcache) ~start:t0 ~finish:fin ~stages
-     with
-     | Some id -> id
-     | None -> 0)
-
-let slot_live t h ~sub ~ph ~x =
-  let s = h.h_slot in
-  Decision_cache.enabled t.dcache
-  && s.s_epoch = Decision_cache.epoch t.dcache
-  && s.s_gen = Array.unsafe_get h.h_gens 0
-  && s.s_sub = sub && s.s_ph = ph && s.s_x = x
-
-(* A front-slot hit: the caller has matched the arguments. *)
-let slot_hit t h ~t0 =
-  Decision_cache.record_hit t.dcache h.h_ch;
-  t.last_engine <- "cache";
-  let v = h.h_slot.s_verdict in
-  if t.traced then
-    conclude t h h.h_cache_key ~t0 ~verdict:v
-      ~stages:
-        (if Trace.spans_enabled t.trace then [ ("slot", Trace.now t.trace - t0) ]
-         else []);
-  served t v
 
 let fetch h key =
   match h.h_prog with
   | Some (k, p) when k == key -> p
   | prev ->
       (match prev with
-       | Some _ -> h.h_stats.invalidations <- h.h_stats.invalidations + 1
+       | Some _ ->
+           let st = h.h_lad.l_stats in
+           st.invalidations <- st.invalidations + 1
        | None -> ());
       let p = h.h_compile key in
       h.h_prog <- Some (key, p);
       p
 
-(* Engine evaluations only: slot and memo hits never get here. *)
-let eval h key ctx =
-  let p = fetch h key in
-  let st = h.h_stats in
-  let before = p.Pfm.retired in
-  let v = Pfm.eval p ctx in
-  st.insns <- st.insns + (p.Pfm.retired - before);
-  st.evals <- st.evals + 1;
-  (match v with
-   | Pfm.Allow -> st.allow <- st.allow + 1
-   | Pfm.Deny -> st.deny <- st.deny + 1
-   | Pfm.Reject -> st.reject <- st.reject + 1);
-  v
-
-(* Past the front slot: memo table, then the engine on a miss.  [ts] is
-   the end of the slot stage (see {!slot_done}); [key] is the policy
-   source the hook's program compiles from.  The slot is refilled from
-   whichever served — except while the cache is disabled, so a bypassed
-   decision can never be replayed after re-enabling without the table
-   having seen it. *)
-let serve t h ~t0 ~ts ~sub ~ph ~x ~args ~ctx ~key =
-  let sp = t.traced && Trace.spans_enabled t.trace in
-  let gens = h.h_gens in
-  let found = Decision_cache.find t.dcache h.h_ch ~subject:sub ~ctx ~gens in
-  let stages =
-    if sp then [ ("table", Trace.now t.trace - t0); ("slot", ts - t0) ] else []
-  in
-  let v, stages, k =
-    match found with
-    | Some (v, _) ->
-        t.last_engine <- "cache";
-        (v, stages, h.h_cache_key)
-    | None ->
-        let v = eval h key ctx in
-        Decision_cache.add t.dcache h.h_ch ~subject:sub ~ctx ~gens ~verdict:v
-          ~errno:(deny_errno h v);
-        t.last_engine <- "pfm";
-        ( v,
-          (if sp then ("engine", Trace.now t.trace - t0) :: stages else stages),
-          h.h_pfm_key )
-  in
-  if Decision_cache.enabled t.dcache then begin
-    let s = h.h_slot in
-    s.s_epoch <- Decision_cache.epoch t.dcache;
-    s.s_gen <- gens.(0);
-    s.s_sub <- sub;
-    s.s_ph <- ph;
-    s.s_x <- x;
-    s.s_args <- args;
-    s.s_verdict <- v
+(* Close out a decision the ladder served.  While traced, the serving
+   series' histogram sees the latency and, with spans on, a span records
+   the stages the decision went through ([ts] is the end of the slot
+   stage, see {!slot_done}); the untraced path skips all of it
+   ([last_span] was zeroed when the tracer disarmed).  Caches and front
+   slots hold the TRUE verdict, so record mode never pollutes them: only
+   the value handed back to the hook is flipped, and [last_recorded]
+   tells the hook layer to audit the would-deny. *)
+let finish t h ~t0 ~ts (v : Pfm.verdict) =
+  let l = h.h_lad in
+  let k = if l.l_served = Engine then h.h_pfm_key else h.h_cache_key in
+  t.last_engine <- k.Trace.k_engine;
+  if t.traced then begin
+    let tr = t.trace in
+    let fin = Trace.now tr in
+    Trace.observe k ~ns:(fin - t0);
+    let stages =
+      match l.l_served with
+      | _ when not (Trace.spans_enabled tr) -> []
+      | Slot -> [ ("slot", fin - t0) ]
+      | Table -> [ ("slot", ts - t0); ("table", l.l_table_at - t0) ]
+      | Engine ->
+          [ ("slot", ts - t0); ("table", l.l_table_at - t0);
+            ("engine", fin - t0) ]
+    in
+    t.last_span <-
+      (match
+         Trace.record_span tr ~hook:k.Trace.k_hook ~engine:k.Trace.k_engine
+           ~verdict:v ~errno:(deny_errno l v) ~gen:l.l_gens.(0)
+           ~epoch:(Decision_cache.epoch t.dcache) ~start:t0 ~finish:fin ~stages
+       with
+       | Some id -> id
+       | None -> 0)
   end;
-  if t.traced then conclude t h k ~t0 ~stages:(List.rev stages) ~verdict:v;
-  served t v
+  t.last_recorded <- t.record && v <> Pfm.Allow;
+  if t.last_recorded then Pfm.Allow else v
 
-(* --- hook decisions ---------------------------------------------------- *)
+let hit t h ~t0 = finish t h ~t0 ~ts:0 (slot_hit h.h_lad)
+
+let miss t h ~t0 ~ts ~sub ~ph ~x ~args ~ctx ~key =
+  finish t h ~t0 ~ts (serve h.h_lad ~prog:(fetch h key) ~sub ~ph ~x ~args ~ctx)
 
 let decide_mount t ?(subject = 0) ?(phase = Phase.initial) (st : Policy_state.t)
     ~source ~target ~fstype ~flags =
   let t0 = start t in
   let h = t.mount in
   let key = st.Policy_state.mounts in
-  watch_source t.mounts_watch st Policy_state.Mounts ~key h;
+  let gen = watch_source t.mounts_watch st Policy_state.Mounts ~key in
   let ph = Phase.index phase in
   allowed
     (if
-       slot_live t h ~sub:subject ~ph ~x:0
-       && (let sr, tg, fs, fl = h.h_slot.s_args in
+       slot_live h.h_lad ~gen ~sub:subject ~ph ~x:0
+       && (let sr, tg, fs, fl = slot_args h.h_lad in
            sr == source && tg == target && fs == fstype && fl == flags)
-     then slot_hit t h ~t0
+     then hit t h ~t0
      else
        let ts = slot_done t in
-       serve t h ~t0 ~ts ~sub:subject ~ph ~x:0 ~key
+       miss t h ~t0 ~ts ~sub:subject ~ph ~x:0 ~key
          ~args:(source, target, fstype, flags)
          ~ctx:(Compile.mount_ctx ~phase:ph ~source ~target ~fstype ~flags))
 
@@ -494,14 +535,16 @@ let decide_umount t ?(phase = Phase.initial) (st : Policy_state.t) ~target
   let t0 = start t in
   let h = t.umount in
   let key = st.Policy_state.mounts in
-  watch_source t.mounts_watch st Policy_state.Mounts ~key h;
+  let gen = watch_source t.mounts_watch st Policy_state.Mounts ~key in
   let ph = Phase.index phase in
   allowed
-    (if slot_live t h ~sub:ruid ~ph ~x:mounted_by && h.h_slot.s_args == target
-     then slot_hit t h ~t0
+    (if
+       slot_live h.h_lad ~gen ~sub:ruid ~ph ~x:mounted_by
+       && slot_args h.h_lad == target
+     then hit t h ~t0
      else
        let ts = slot_done t in
-       serve t h ~t0 ~ts ~sub:ruid ~ph ~x:mounted_by ~key ~args:target
+       miss t h ~t0 ~ts ~sub:ruid ~ph ~x:mounted_by ~key ~args:target
          ~ctx:(Compile.umount_ctx ~phase:ph ~target ~mounted_by ~ruid))
 
 let decide_bind t ?(phase = Phase.initial) (st : Policy_state.t) ~port ~proto
@@ -509,15 +552,15 @@ let decide_bind t ?(phase = Phase.initial) (st : Policy_state.t) ~port ~proto
   let t0 = start t in
   let h = t.bind in
   let key = st.Policy_state.binds in
-  watch_source t.binds_watch st Policy_state.Binds ~key h;
+  let gen = watch_source t.binds_watch st Policy_state.Binds ~key in
   let ph = Phase.index phase in
   let x = (port * 2) + (match proto with Bindconf.Tcp -> 0 | Bindconf.Udp -> 1) in
   allowed
-    (if slot_live t h ~sub:uid ~ph ~x && h.h_slot.s_args == exe then
-       slot_hit t h ~t0
+    (if slot_live h.h_lad ~gen ~sub:uid ~ph ~x && slot_args h.h_lad == exe then
+       hit t h ~t0
      else
        let ts = slot_done t in
-       serve t h ~t0 ~ts ~sub:uid ~ph ~x ~key ~args:exe
+       miss t h ~t0 ~ts ~sub:uid ~ph ~x ~key ~args:exe
          ~ctx:(Compile.bind_ctx ~phase:ph ~port ~proto ~exe ~uid))
 
 let decide_ppp_ioctl t ?(subject = 0) ?(phase = Phase.initial)
@@ -525,34 +568,34 @@ let decide_ppp_ioctl t ?(subject = 0) ?(phase = Phase.initial)
   let t0 = start t in
   let h = t.ppp in
   let key = st.Policy_state.ppp in
-  watch_source t.ppp_watch st Policy_state.Ppp ~key h;
+  let gen = watch_source t.ppp_watch st Policy_state.Ppp ~key in
   let ph = Phase.index phase in
   allowed
     (if
-       slot_live t h ~sub:subject ~ph ~x:0
-       && (let dv, op = h.h_slot.s_args in
+       slot_live h.h_lad ~gen ~sub:subject ~ph ~x:0
+       && (let dv, op = slot_args h.h_lad in
            dv == device && op == opt)
-     then slot_hit t h ~t0
+     then hit t h ~t0
      else
        let ts = slot_done t in
-       serve t h ~t0 ~ts ~sub:subject ~ph ~x:0 ~key ~args:(device, opt)
+       miss t h ~t0 ~ts ~sub:subject ~ph ~x:0 ~key ~args:(device, opt)
          ~ctx:(Compile.ppp_ctx ~phase:ph ~device ~opt))
 
 let decide_nf_output t nf pkt ~origin =
   let t0 = start t in
   let h = t.nf in
-  watch_chain t nf;
+  let gen = watch_chain t nf in
   Compile.netfilter_of_verdict
     (if
-       slot_live t h ~sub:0 ~ph:0 ~x:0
-       && (let p0, o0 = h.h_slot.s_args in
+       slot_live h.h_lad ~gen ~sub:0 ~ph:0 ~x:0
+       && (let p0, o0 = slot_args h.h_lad in
            p0 == pkt && o0 = origin)
-     then slot_hit t h ~t0
+     then hit t h ~t0
      else
        let ts = slot_done t in
        (* packet_ctx is the canonical integer encoding of everything the
           chain can match on: the memo key and the engine input alike. *)
-       serve t h ~t0 ~ts ~sub:0 ~ph:0 ~x:0 ~key:t.nf_key ~args:(pkt, origin)
+       miss t h ~t0 ~ts ~sub:0 ~ph:0 ~x:0 ~key:t.nf_key ~args:(pkt, origin)
          ~ctx:(Compile.packet_ctx pkt ~origin))
 
 (* --- load-time policy lint --------------------------------------------- *)

@@ -39,6 +39,10 @@ type lint_mode = [ `Warn | `Enforce ]
     audit trail; [`Enforce] refuses the install. *)
 
 type hook_stats = {
+  mutable decisions : int;
+      (** every decision the hook served: front slot, memo table or
+          engine *)
+  mutable granted : int;  (** of [decisions], those the policy allowed *)
   mutable evals : int;
       (** engine evaluations on this hook: front-slot and memo hits never
           reach the engine and are counted by {!Decision_cache} instead *)
@@ -131,6 +135,54 @@ val drain_opt_log : t -> string list
 val filter_rule : Policy_state.mount_rule -> Protego_filter.Pfm_compile.mount_rule
 (** A whitelist rule as the mount/umount compilers and the lint engine
     read it. *)
+
+(** {1 The decision ladder}
+
+    One hook's walk {e front slot -> memo table -> engine} as a
+    worker-local unit: the dispatcher holds one per filtered hook, each
+    {!Protego_plane.Plane} worker one per plane hook.  The caller brings
+    the front-slot identity test on {!slot_args} (['a] is its argument
+    value), the generation of the source the hook reads, the PFM context
+    and the program:
+    {[
+      if slot_live l ~gen ~sub ~ph ~x && slot_args l == args then slot_hit l
+      else serve l ~prog ~sub ~ph ~x ~args ~ctx
+    ]}
+    [sub] is the subject credential key, [ph] its phase index, [x] an
+    integer argument the identity test does not cover (0 if none).  Both
+    return the true verdict, which fills the slot and the memo table. *)
+
+type 'a hook
+
+val hook :
+  Decision_cache.t -> Trace.t -> string -> errno:Protego_base.Errno.t option ->
+  args:'a -> 'a hook
+(** Registers the name with the cache.  [errno] is what a denial
+    carries; [args] is the empty slot's placeholder, never matched.
+    While the tracer has spans on, {!serve} stamps the end of its table
+    stage. *)
+
+val counters : 'a hook -> hook_stats
+val cache_hook : 'a hook -> Decision_cache.hook
+
+val deny_errno :
+  'a hook -> Protego_filter.Pfm.verdict -> Protego_base.Errno.t option
+
+val slot_live : 'a hook -> gen:int -> sub:int -> ph:int -> x:int -> bool
+(** Stamps [gen] as the decision's generation, then tells whether the
+    slot was filled under it, [sub], [ph], [x] and the cache's current
+    epoch, with the cache enabled. *)
+
+val slot_args : 'a hook -> 'a
+
+val slot_hit : 'a hook -> Protego_filter.Pfm.verdict
+(** Counted as a {!Decision_cache} hit. *)
+
+val serve :
+  'a hook -> prog:Protego_filter.Pfm.program -> sub:int -> ph:int -> x:int ->
+  args:'a -> ctx:Protego_filter.Pfm.ctx -> Protego_filter.Pfm.verdict
+(** The memo table, then [prog] on a miss; refills the slot unless the
+    cache is disabled. *)
 
 (** {1 Hook decisions} *)
 

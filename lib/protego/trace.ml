@@ -104,18 +104,20 @@ let observe k ~ns =
 let keys t = List.rev t.keys_rev
 let buckets k = Array.copy k.k_buckets
 
-let percentile k ~pct =
-  if k.k_count = 0 then 0
+let percentile_of buckets ~count ~pct =
+  if count = 0 then 0
   else begin
     let pct = if pct < 1 then 1 else if pct > 100 then 100 else pct in
-    let need = ((k.k_count * pct) + 99) / 100 in
+    let need = ((count * pct) + 99) / 100 in
     let acc = ref 0 and b = ref 0 in
     while !acc < need && !b < bucket_count do
-      acc := !acc + k.k_buckets.(!b);
+      acc := !acc + buckets.(!b);
       if !acc < need then incr b
     done;
     bucket_upper !b
   end
+
+let percentile k ~pct = percentile_of k.k_buckets ~count:k.k_count ~pct
 
 let reset_latency t =
   List.iter

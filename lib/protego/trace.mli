@@ -99,6 +99,10 @@ val percentile : key -> pct:int -> int
     the bucket containing the [ceil (count * pct / 100)]-th smallest
     observed latency; 0 when the histogram is empty. *)
 
+val percentile_of : int array -> count:int -> pct:int -> int
+(** The same walk over any bucket array ([bucket_count] long) holding
+    [count] observations — e.g. several keys' {!buckets} summed. *)
+
 val reset_latency : t -> unit
 (** Zero every histogram (buckets, counts, maxima); keys survive. *)
 

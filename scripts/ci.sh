@@ -9,8 +9,9 @@
 #   --full   everything the fast tier skips: the protego-tune sweep, the
 #            bench regression gate (with tuned_* knobs asserted in the
 #            report), journal artifact verification, the cache/
-#            equivalence/plane/journal/sim stress suites, both seeded
-#            simulation sweeps, the plane scaling smoke, the
+#            equivalence/plane/journal/sim stress suites, the seeded
+#            simulation sweeps (plane, phased plane, opt lane), the
+#            plane scaling smoke, the
 #            protego-synth record->synthesize->verify closed loop (fresh
 #            recording + the committed fixture pair) and a short
 #            perfbench run of every workload at both trace depths with
@@ -174,6 +175,14 @@ full_tier() {
     echo "==> phase-lane simulation sweep (200 seeds, phases=on)"
     ./_build/default/bin/sim.exe sweep \
         --spec 'lane=plane,workers=3,steps=120,reloads=4,phases=on' \
+        --seeds 200 --out SIM_failure.txt
+
+    # The opt lane drives the sequential dispatcher through reloads and
+    # optimize/deoptimize toggles; the same temporal properties must
+    # hold on every schedule.
+    echo "==> opt-lane simulation sweep (200 seeds)"
+    ./_build/default/bin/sim.exe sweep \
+        --spec 'lane=opt,workers=3,steps=120,reloads=4,opts=4' \
         --seeds 200 --out SIM_failure.txt
 
     echo "==> decision-plane scaling smoke (numbers land in PLANE_scaling.txt)"

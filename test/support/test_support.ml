@@ -42,25 +42,59 @@ let oracle : PS.t -> Plane.request -> bool = Plane.request_oracle
 let snapshot_oracle : Snapshot.t -> Plane.request -> bool =
   Plane.snapshot_oracle
 
-(* --- one driver per dispatcher hook -------------------------------------- *)
+(* --- one driver per ladder hook ------------------------------------------- *)
 
 module PD = Protego_core.Pfm_dispatch
 
-(* A dispatcher hook under test: [hd_decide i] runs the hook on the
-   [i land 1]-th of two interned argument sets, so alternating indices
-   miss the one-entry front slot (it holds the other set) and hit the
-   memo table, while a constant index hits the front slot.  Index 0 is
+(* Which caller of the shared decision ladder a driver runs through:
+   the sequential dispatcher, or worker 0 of a plane built over
+   {!driver_state} (its four hooks; nf_output is dispatcher-only). *)
+type caller = Dispatcher of PD.t | Plane_worker of Plane.t
+
+(* A hook under test: [hd_decide i] runs the hook on the [i land 1]-th
+   of two interned argument sets, so alternating indices miss the
+   one-entry front slot (it holds the other set) and hit the memo
+   table, while a constant index hits the front slot.  Index 0 is
    allowed by the driver's policy, index 1 denied. *)
 type hook_driver = { hd_name : string; hd_decide : int -> unit }
 
-let hook_drivers disp =
-  let module NF = Protego_net.Netfilter in
-  let module Packet = Protego_net.Packet in
+let driver_state () =
   let st = PS.create () in
-  let ok = function Ok v -> v | Error e -> failwith ("hook_drivers: " ^ e) in
+  let ok = function Ok v -> v | Error e -> failwith ("driver_state: " ^ e) in
   st.PS.mounts <- ok (PS.parse_mounts "allow /dev/a /m ext4 - users\n");
   st.PS.binds <- ok (Protego_policy.Bindconf.parse "25 tcp /usr/sbin/exim4 0\n");
   st.PS.ppp <- ok (Protego_policy.Pppopts.parse "allow-device /dev/ttyS0\n");
+  st
+
+let sources = [| "/dev/a"; "/dev/b" |] and targets = [| "/m"; "/n" |]
+let ports = [| 25; 80 |]
+let opts = [| Protego_net.Ppp.Accomp; Protego_net.Ppp.Default_route |]
+
+let plane_drivers p =
+  let two name f =
+    let reqs = [| f 0; f 1 |] in
+    { hd_name = name;
+      hd_decide =
+        (fun i ->
+          ignore (Plane.decide_on p ~worker:0 reqs.(i land 1) : Plane.outcome)) }
+  in
+  [ two "mount" (fun i ->
+        Plane.Mount
+          { subject = 1; source = sources.(i); target = "/m"; fstype = "ext4";
+            flags = [] });
+    two "umount" (fun i ->
+        Plane.Umount { subject = 1; target = targets.(i); mounted_by = 1 });
+    two "bind" (fun i ->
+        Plane.Bind
+          { subject = 0; port = ports.(i); proto = Protego_policy.Bindconf.Tcp;
+            exe = "/usr/sbin/exim4" });
+    two "ppp_ioctl" (fun i ->
+        Plane.Ppp_ioctl { subject = 1; device = "/dev/ttyS0"; opt = opts.(i) }) ]
+
+let dispatcher_drivers disp =
+  let module NF = Protego_net.Netfilter in
+  let module Packet = Protego_net.Packet in
+  let st = driver_state () in
   let nf = NF.create ~output_policy:NF.Accept () in
   NF.append nf NF.Output
     { NF.matches = [ NF.Dst_port { lo = 25; hi = 25 } ]; target = NF.Drop;
@@ -71,9 +105,6 @@ let hook_drivers disp =
       transport =
         Packet.Udp_dgram { src_port = 5353; dst_port = dport; payload = "" } }
   in
-  let sources = [| "/dev/a"; "/dev/b" |] and targets = [| "/m"; "/n" |] in
-  let ports = [| 25; 80 |] in
-  let opts = [| Protego_net.Ppp.Accomp; Protego_net.Ppp.Default_route |] in
   let pkts = [| pkt 53; pkt 25 |] in
   [ { hd_name = "mount";
       hd_decide =
@@ -110,3 +141,7 @@ let hook_drivers disp =
             (PD.decide_nf_output disp nf pkts.(i land 1)
                ~origin:Packet.Kernel_stack
               : NF.verdict)) } ]
+
+let hook_drivers = function
+  | Dispatcher disp -> dispatcher_drivers disp
+  | Plane_worker p -> plane_drivers p

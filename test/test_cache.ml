@@ -345,7 +345,7 @@ let memo_hit_words =
 let driver name =
   let disp = PD.create () in
   (disp, List.find (fun d -> d.Test_support.hd_name = name)
-           (Test_support.hook_drivers disp))
+           (Test_support.hook_drivers (Test_support.Dispatcher disp)))
 
 let evals disp name = (List.assoc name (PD.stats disp)).PD.evals
 
@@ -373,6 +373,54 @@ let test_slot_hit_alloc name () =
   check_int "the table was never consulted" 1 (DC.misses (PD.cache disp));
   check (Printf.sprintf "front-slot decide_%s allocates nothing (%.4f)" name w)
     true (w < 0.01)
+
+(* The plane's workers serve through the same ladder.  Per hook, a memo
+   hit allocates the PFM context (10/9/10/8 words) and the 5-word
+   outcome record, and a front-slot hit the outcome record alone. *)
+let plane_memo_hit_words =
+  [ ("mount", 15.); ("umount", 14.); ("bind", 15.); ("ppp_ioctl", 13.) ]
+
+let plane_slot_hit_words = 5.
+
+let plane_driver name =
+  let p = Plane.create (Test_support.driver_state ()) in
+  ( p,
+    List.find
+      (fun d -> d.Test_support.hd_name = name)
+      (Test_support.hook_drivers (Test_support.Plane_worker p)) )
+
+let plane_hook p name = List.assoc name (Plane.hook_stats p)
+
+let test_plane_memo_hit_alloc name () =
+  let p, d = plane_driver name in
+  ignore (Plane.sim_begin p : int);
+  d.Test_support.hd_decide 0;
+  d.Test_support.hd_decide 1;
+  let evals0 = (plane_hook p name).Plane.ht_evals in
+  let w = words_per_call warm_calls d.Test_support.hd_decide in
+  Plane.sim_end p;
+  check_int "every warm call was a memo hit" evals0
+    (plane_hook p name).Plane.ht_evals;
+  let bound = List.assoc name plane_memo_hit_words in
+  check
+    (Printf.sprintf "memo-hit plane %s allocates <= %g words (%.2f)" name
+       bound w)
+    true (w <= bound)
+
+let test_plane_slot_hit_alloc name () =
+  let p, d = plane_driver name in
+  ignore (Plane.sim_begin p : int);
+  d.Test_support.hd_decide 0;
+  let hits0 = (plane_hook p name).Plane.ht_hits in
+  let w = words_per_call warm_calls (fun _ -> d.Test_support.hd_decide 0) in
+  Plane.sim_end p;
+  let ht = plane_hook p name in
+  check_int "every warm call was a hit" (hits0 + warm_calls) ht.Plane.ht_hits;
+  check_int "the engine ran once" 1 ht.Plane.ht_evals;
+  check
+    (Printf.sprintf "front-slot plane %s allocates <= %g words (%.4f)" name
+       plane_slot_hit_words w)
+    true (w <= plane_slot_hit_words)
 
 (* --- /proc/protego/cache_stats ------------------------------------------ *)
 
@@ -548,7 +596,14 @@ let suites =
                 (test_memo_hit_alloc name);
               Alcotest.test_case (name ^ " front-slot hit") `Quick
                 (test_slot_hit_alloc name) ])
-          memo_hit_words);
+          memo_hit_words
+      @ List.concat_map
+          (fun (name, _) ->
+            [ Alcotest.test_case ("plane " ^ name ^ " memo hit") `Quick
+                (test_plane_memo_hit_alloc name);
+              Alcotest.test_case ("plane " ^ name ^ " front-slot hit") `Quick
+                (test_plane_slot_hit_alloc name) ])
+          plane_memo_hit_words);
     ("cache:proc",
       [ Alcotest.test_case "/proc/protego/cache_stats" `Quick
           test_cache_stats_proc ]);

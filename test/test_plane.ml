@@ -8,6 +8,7 @@ module Image = Protego_dist.Image
 module PS = Protego_core.Policy_state
 module Pfm = Protego_filter.Pfm
 module Snapshot = Protego_plane.Snapshot
+module PD = Protego_core.Pfm_dispatch
 module Plane = Protego_plane.Plane
 module Replay = Protego_plane.Replay
 module Workload = Protego_workload.Workload
@@ -56,14 +57,14 @@ let test_freeze_publish () =
   check_bool "published pointer" true (Snapshot.current pub == s1);
   (* The old snapshot is immutable: it still answers with the old policy. *)
   check_bool "old snapshot, old verdict" true
-    (Snapshot.ref_mount s0 ~source:"/dev/wl1" ~target:"/media/wl1"
-       ~fstype:"ext4" ~flags:[]);
+    (PS.mount_decision s0.Snapshot.frozen ~source:"/dev/wl1"
+       ~target:"/media/wl1" ~fstype:"ext4" ~flags:[]);
   check_bool "old snapshot misses new rule" false
-    (Snapshot.ref_mount s0 ~source:"/dev/cdrom" ~target:"/media/cdrom"
-       ~fstype:"iso9660" ~flags:[]);
+    (PS.mount_decision s0.Snapshot.frozen ~source:"/dev/cdrom"
+       ~target:"/media/cdrom" ~fstype:"iso9660" ~flags:[]);
   check_bool "new snapshot, new verdict" true
-    (Snapshot.ref_mount s1 ~source:"/dev/cdrom" ~target:"/media/cdrom"
-       ~fstype:"iso9660" ~flags:[])
+    (PS.mount_decision s1.Snapshot.frozen ~source:"/dev/cdrom"
+       ~target:"/media/cdrom" ~fstype:"iso9660" ~flags:[])
 
 let test_watch_parity () =
   let sp = spec () in
@@ -352,6 +353,110 @@ let prop_incremental_differential =
               if rep.Replay.rp_matched <> Array.length reqs then
                 fail "journal replay of run %d: %s" run (Replay.render rep))
         ops;
+      true)
+
+(* --- both callers of the decision ladder ---------------------------------- *)
+
+type ladder_op =
+  | Ask of int * bool  (* pool index; a fresh structural copy? *)
+  | Reload of PS.source * int  (* list variant, generation bumped *)
+  | Touch of PS.source  (* generation bump alone *)
+
+let show_ladder_op = function
+  | Ask (i, fresh) ->
+      Printf.sprintf "ask %d%s" i (if fresh then " fresh" else "")
+  | Reload (s, k) -> Printf.sprintf "reload %s %d" (PS.source_name s) k
+  | Touch s -> "touch " ^ PS.source_name s
+
+(* The first 200 requests of the pool: far fewer distinct requests than
+   the 1024-entry default cache holds, so neither memo table ever
+   evicts for room. *)
+let ladder_pool_len () = min 200 (Array.length (Lazy.force inc_pool))
+
+let gen_ladder_ops =
+  let open QCheck.Gen in
+  let listed = oneofl [ PS.Mounts; PS.Binds; PS.Ppp ] in
+  let op =
+    frequency
+      [ (12, map2 (fun i f -> Ask (i, f)) (int_bound (ladder_pool_len () - 1))
+               bool);
+        (2, map2 (fun s k -> Reload (s, k)) listed (int_bound 63));
+        (1, map (fun s -> Touch s) (oneofl PS.sources)) ]
+  in
+  list_size (int_range 1 120) op
+
+(* The same request with every string freshly allocated: equal in
+   content, so it shares memo entries, but never physically equal to
+   what a front slot holds. *)
+let fresh_copy =
+  let s x = Bytes.to_string (Bytes.of_string x) in
+  function
+  | Plane.Mount m ->
+      Plane.Mount
+        { m with source = s m.source; target = s m.target; fstype = s m.fstype;
+          flags = List.map Fun.id m.flags }
+  | Plane.Umount u -> Plane.Umount { u with target = s u.target }
+  | Plane.Bind b -> Plane.Bind { b with exe = s b.exe }
+  | Plane.Ppp_ioctl p -> Plane.Ppp_ioctl { p with device = s p.device }
+
+let dispatch disp st = function
+  | Plane.Mount { subject; source; target; fstype; flags } ->
+      PD.decide_mount disp ~subject st ~source ~target ~fstype ~flags
+  | Plane.Umount { subject; target; mounted_by } ->
+      PD.decide_umount disp st ~target ~mounted_by ~ruid:subject
+  | Plane.Bind { subject; port; proto; exe } ->
+      PD.decide_bind disp st ~port ~proto ~exe ~uid:subject
+  | Plane.Ppp_ioctl { subject; device; opt } ->
+      PD.decide_ppp_ioctl disp ~subject st ~device ~opt
+
+(* One random stream of interned and fresh requests through
+   Pfm_dispatch's decide_* and through a 1-worker Plane.decide, on one
+   Policy_state with reloads in between.  Both must give the oracle's
+   verdict, and per hook both must have run the engine equally often:
+   the shared ladder memoizes the same (context, generation) pairs
+   whichever caller drives it.  Each request goes to the dispatcher
+   first, so its identity watch (which bumps a source's generation when
+   the field changed identity) has settled the generation before the
+   plane publishes.  Reloads are announced, as /proc writes are: with
+   an unannounced assignment the two callers' watches each bump the
+   shared generation on their own schedule, and one may re-run the
+   engine for a verdict the other still holds. *)
+let prop_ladder_callers =
+  QCheck.Test.make ~count:100
+    ~name:"dispatcher and 1-worker plane: same verdicts, same engine runs"
+    (QCheck.make ~print:(QCheck.Print.list show_ladder_op) gen_ladder_ops)
+    (fun ops ->
+      let pool = Lazy.force inc_pool in
+      let base = fresh_state inc_spec in
+      let st = fresh_state inc_spec in
+      let disp = PD.create () in
+      let plane = Plane.create ~domains:1 st in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      List.iter
+        (function
+          | Ask (i, fresh) ->
+              let req = if fresh then fresh_copy pool.(i) else pool.(i) in
+              let via_disp = dispatch disp st req in
+              let via_plane =
+                (Plane.decide plane req).Plane.o_verdict = Pfm.Allow
+              in
+              let want = Plane.request_oracle st req in
+              if via_disp <> want then
+                fail "dispatcher disagrees with the oracle on request %d" i;
+              if via_plane <> want then
+                fail "plane disagrees with the oracle on pool request %d" i
+          | Reload (s, k) ->
+              apply_variant base st s k;
+              PS.bump_generation st s
+          | Touch s -> PS.bump_generation st s)
+        ops;
+      List.iter
+        (fun (name, (ht : Plane.hook_totals)) ->
+          let evals = (List.assoc name (PD.stats disp)).PD.evals in
+          if evals <> ht.Plane.ht_evals then
+            fail "%s: dispatcher ran the engine %d times, the plane %d" name
+              evals ht.Plane.ht_evals)
+        (Plane.hook_stats plane);
       true)
 
 (* --- sequential decide vs the oracle ------------------------------------ *)
@@ -903,7 +1008,8 @@ let suites =
      [ Alcotest.test_case "4-domain run equals sequential reference" `Quick
          test_differential_domains;
        Alcotest.test_case "semantic flip never torn" `Quick
-         test_semantic_flip_never_torn ]);
+         test_semantic_flip_never_torn;
+       QCheck_alcotest.to_alcotest ~long:false prop_ladder_callers ]);
     ("plane:guard",
      [ Alcotest.test_case "set_domains refused in flight" `Quick
          test_set_domains_in_flight;

@@ -435,7 +435,7 @@ let test_hook_stages name () =
   let d =
     List.find
       (fun d -> d.Test_support.hd_name = name)
-      (Test_support.hook_drivers disp)
+      (Test_support.hook_drivers (Test_support.Dispatcher disp))
   in
   let tr = PD.trace disp in
   Trace.set_clock tr (Test_support.counter_clock ());
