@@ -24,31 +24,46 @@ type t = {
   mutable forward_policy : verdict;
   mutable output_override :
     (Packet.t -> origin:Packet.origin -> verdict) option;
+  gens : int array;  (* per chain, {!chain_index} order *)
 }
 
 let create ?(input_policy = Accept) ?(output_policy = Accept)
     ?(forward_policy = Accept) () =
   { input = []; output = []; forward = [];
-    input_policy; output_policy; forward_policy; output_override = None }
+    input_policy; output_policy; forward_policy; output_override = None;
+    gens = [| 0; 0; 0 |] }
 
 let set_output_override t f = t.output_override <- f
 
+let chain_index = function Input -> 0 | Output -> 1 | Forward -> 2
+
+let generation t chain = t.gens.(chain_index chain)
+
+(* Each mutator below changes one chain, then bumps its generation. *)
+let bump t chain =
+  let i = chain_index chain in
+  t.gens.(i) <- t.gens.(i) + 1
+
 let append t chain rule =
-  match chain with
-  | Input -> t.input <- t.input @ [ rule ]
-  | Output -> t.output <- t.output @ [ rule ]
-  | Forward -> t.forward <- t.forward @ [ rule ]
+  (match chain with
+   | Input -> t.input <- t.input @ [ rule ]
+   | Output -> t.output <- t.output @ [ rule ]
+   | Forward -> t.forward <- t.forward @ [ rule ]);
+  bump t chain
 
 let insert t chain rule =
-  match chain with
-  | Input -> t.input <- rule :: t.input
-  | Output -> t.output <- rule :: t.output
-  | Forward -> t.forward <- rule :: t.forward
+  (match chain with
+   | Input -> t.input <- rule :: t.input
+   | Output -> t.output <- rule :: t.output
+   | Forward -> t.forward <- rule :: t.forward);
+  bump t chain
 
-let flush t = function
-  | Input -> t.input <- []
-  | Output -> t.output <- []
-  | Forward -> t.forward <- []
+let flush t chain =
+  (match chain with
+   | Input -> t.input <- []
+   | Output -> t.output <- []
+   | Forward -> t.forward <- []);
+  bump t chain
 
 let rules t = function
   | Input -> t.input
@@ -56,10 +71,11 @@ let rules t = function
   | Forward -> t.forward
 
 let set_policy t chain v =
-  match chain with
-  | Input -> t.input_policy <- v
-  | Output -> t.output_policy <- v
-  | Forward -> t.forward_policy <- v
+  (match chain with
+   | Input -> t.input_policy <- v
+   | Output -> t.output_policy <- v
+   | Forward -> t.forward_policy <- v);
+  bump t chain
 
 let policy t = function
   | Input -> t.input_policy

@@ -41,6 +41,11 @@ val set_policy : t -> chain -> verdict -> unit
 val policy : t -> chain -> verdict
 val rule_count : t -> int
 
+val generation : t -> chain -> int
+(** The chain's version stamp: {!append}, {!insert}, {!flush} and
+    {!set_policy}, the only writers of a chain's rules and policy, each
+    bump it once.  Starts at 0. *)
+
 val matches_packet : match_ -> Packet.t -> origin:Packet.origin -> bool
 
 val eval : t -> chain -> Packet.t -> origin:Packet.origin -> verdict

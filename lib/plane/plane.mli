@@ -160,8 +160,11 @@ val publish : t -> Snapshot.t
 (** Unconditionally freeze the live state and swap it in. *)
 
 val refresh : t -> Snapshot.t
-(** {!publish} only if the live state drifted from the current snapshot
-    ({!Snapshot.stale}); otherwise the current snapshot unchanged. *)
+(** {!publish} only if a source generation of the live state moved
+    since the current snapshot froze ({!Snapshot.stale}); otherwise the
+    current snapshot unchanged.  The setters are the only writers of
+    the generations, so one reload costs at most one publish, however
+    many callers decide over the state. *)
 
 val decide : t -> request -> outcome
 (** One decision on worker 0, after a {!refresh} — the deterministic

@@ -16,35 +16,24 @@ type t = {
   progs : progs;
 }
 
-(* The policy fields are immutable values (lists, records): aliasing them
-   into a fresh record decouples the snapshot from every future mutation
-   of the live state, which only ever replaces whole fields. *)
-let copy_state (st : PS.t) =
-  let c = PS.create () in
-  c.PS.mounts <- st.PS.mounts;
-  c.PS.binds <- st.PS.binds;
-  c.PS.delegation <- st.PS.delegation;
-  c.PS.users <- st.PS.users;
-  c.PS.groups <- st.PS.groups;
-  c.PS.ppp <- st.PS.ppp;
-  c.PS.reauth_read_prefixes <- st.PS.reauth_read_prefixes;
-  c.PS.file_acl <- st.PS.file_acl;
-  c
-
 (* With [prev], a source's programs carry over from it when the
-   source's frozen generation is unchanged and its field is the very
-   value [prev] compiled ([same]); every other program is compiled. *)
+   source's generation is unchanged: every write goes through a setter
+   that bumps, so an equal generation means the very value [prev]
+   compiled.  Every other program is compiled.  The generations are read
+   before the values (the rule in policy_state.mli): a setter racing the
+   build can leave an older stamp on a newer value, which the next
+   publish recompiles, but never a newer stamp on an older value. *)
 let build ?prev ~epoch (st : PS.t) =
-  let frozen = copy_state st in
   let gens = Array.of_list (List.map (PS.generation st) PS.sources) in
-  let kept source same =
+  let frozen = PS.copy st in
+  let kept source =
     let i = PS.source_index source in
     match prev with
-    | Some p when gens.(i) = p.gens.(i) && same p.frozen -> Some p.progs
+    | Some p when gens.(i) = p.gens.(i) -> Some p.progs
     | _ -> None
   in
   let p_mount, p_umount =
-    match kept PS.Mounts (fun f -> f.PS.mounts == frozen.PS.mounts) with
+    match kept PS.Mounts with
     | Some p -> (p.p_mount, p.p_umount)
     | None ->
         let rules =
@@ -53,12 +42,12 @@ let build ?prev ~epoch (st : PS.t) =
         (Compile.mount rules, Compile.umount rules)
   in
   let p_bind =
-    match kept PS.Binds (fun f -> f.PS.binds == frozen.PS.binds) with
+    match kept PS.Binds with
     | Some p -> p.p_bind
     | None -> Compile.bind frozen.PS.binds
   in
   let p_ppp =
-    match kept PS.Ppp (fun f -> f.PS.ppp == frozen.PS.ppp) with
+    match kept PS.Ppp with
     | Some p -> p.p_ppp
     | None -> Compile.ppp_ioctl frozen.PS.ppp
   in
@@ -113,26 +102,11 @@ let current pub = Atomic.get pub.cur
    limit under reload storms. *)
 let at_epoch pub e = Hashtbl.find_opt pub.hist e
 
-(* The same discipline as the dispatcher's physical-identity watches: a
-   harness that assigns a watched field directly (bypassing the /proc
-   write path and its generation bump) must still invalidate stale
-   verdicts.  The previous snapshot aliased the field value it froze, so
-   identity against it detects exactly those unannounced replacements. *)
-let watch_parity prev (st : PS.t) ~bump =
-  let check source changed =
-    if changed && PS.generation st source = gen_for prev source then
-      if bump then PS.bump_generation st source else raise Exit
-  in
-  check PS.Mounts (st.PS.mounts != prev.frozen.PS.mounts);
-  check PS.Binds (st.PS.binds != prev.frozen.PS.binds);
-  check PS.Ppp (st.PS.ppp != prev.frozen.PS.ppp)
-
 let publish pub st =
   let prev = Atomic.get pub.cur in
-  watch_parity prev st ~bump:true;
-  (* Generation plus identity: a bump alone (a /proc rewrite of the
-     same text, the parity bump above, a reload storm) still recompiles
-     its source, so each reload pays for exactly the source it touched. *)
+  (* A bump alone (a /proc rewrite of the same text, a reload storm)
+     still recompiles its source, so each reload pays for exactly the
+     source it touched. *)
   let next = build ~prev ~epoch:(prev.epoch + 1) st in
   Atomic.set pub.cur next;
   Hashtbl.replace pub.hist next.epoch next;
@@ -143,7 +117,4 @@ let publish pub st =
 
 let stale pub st =
   let prev = Atomic.get pub.cur in
-  match watch_parity prev st ~bump:false with
-  | () ->
-      List.exists (fun s -> PS.generation st s <> gen_for prev s) PS.sources
-  | exception Exit -> true
+  List.exists (fun s -> PS.generation st s <> gen_for prev s) PS.sources

@@ -38,11 +38,11 @@ type t = private {
 }
 
 val freeze : epoch:int -> PS.t -> t
-(** Copy the live state's fields (the field values are immutable, so
-    aliasing them is a deep-enough copy), snapshot the generation
-    vector, and compile and verify all four programs from scratch.  The
-    initial snapshot is built this way; tests use it as the oracle a
-    {!publish}ed snapshot's programs must disassemble equal to. *)
+(** Snapshot the generation vector, copy the live state's fields
+    ({!PS.copy}), and compile and verify all four programs from
+    scratch.  The initial snapshot is built this way; tests use it as
+    the oracle a {!publish}ed snapshot's programs must disassemble equal
+    to. *)
 
 val clone_progs : t -> progs
 (** Per-domain copies of the compiled programs: the instruction arrays
@@ -88,22 +88,20 @@ val at_epoch : pub -> int -> t option
 val publish : pub -> PS.t -> t
 (** Build-then-swap: build the snapshot of [st] at
     [epoch (current pub) + 1], then atomically replace the pointer.
-    Returns the new snapshot.  Before building, performs the same
-    physical-identity watch the sequential dispatcher does: a watched
-    source (mounts, binds, ppp) whose field changed identity since the
-    previous snapshot without a generation bump gets its generation
-    bumped here, so stale per-domain cache entries can never be served
-    under the new snapshot.
+    Returns the new snapshot.
 
     The build is incremental: a source's programs are taken, physically,
-    from the previous snapshot when the source's generation is unchanged
-    and its field is the very value the previous snapshot froze;
-    otherwise they are compiled and verified as {!freeze} does.  So a
-    reload recompiles exactly the source it touched (a bump without a
-    new value still recompiles it), and the result's programs equal a
-    {!freeze} of the same state. *)
+    from the previous snapshot when the source's generation is
+    unchanged — every write goes through a {!PS} setter that bumps it,
+    so the generation alone says the value is the one the previous
+    snapshot compiled; otherwise they are compiled and verified as
+    {!freeze} does.  So a reload recompiles exactly the source it
+    touched (a bump without a new value still recompiles it), and the
+    result's programs equal a {!freeze} of the same state.  The
+    generation vector is read before the field values, as the rule in
+    {!PS} asks. *)
 
 val stale : pub -> PS.t -> bool
 (** Would {!publish} produce a snapshot with a different generation
     vector?  True when any source generation moved since the current
-    snapshot froze, or a watched field changed physical identity. *)
+    snapshot froze. *)

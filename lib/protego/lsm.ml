@@ -402,15 +402,20 @@ let current_chains m =
   [ ("output", Netfilter.rules m.netfilter Netfilter.Output,
      Netfilter.policy m.netfilter Netfilter.Output) ]
 
-(* A policy write passes the load-time lint gate before it sticks: apply
-   the parsed value, lint the resulting state, and roll back (EPERM,
-   audited) if the dispatcher is in enforce mode and the written sources
-   carry error-severity findings.  In warn mode defective policy loads,
-   but tagged in the audit log — the differential-rollout posture. *)
-let gated_load m st disp task ~file ~sources ~apply ~rollback =
-  apply ();
+(* A policy write passes the load-time lint gate before it sticks: [set]
+   the parsed value on a copy of the live state, lint the copy, and
+   refuse the write (EPERM, audited) if the dispatcher is in enforce mode
+   and the written sources carry error-severity findings.  Only an
+   accepted write reaches the live state, through the same setter, so a
+   refused one leaves the value and its generation alone.  In warn mode
+   defective policy loads, but tagged in the audit log — the
+   differential-rollout posture. *)
+let gated_load m st disp task ~file ~sources ~set =
+  let candidate = Policy_state.copy st in
+  set candidate;
   let verdict =
-    Pfm_dispatch.check_policy_load disp ~chains:(current_chains m) st ~sources
+    Pfm_dispatch.check_policy_load disp ~chains:(current_chains m) candidate
+      ~sources
   in
   let describe fs =
     let errors =
@@ -425,8 +430,11 @@ let gated_load m st disp task ~file ~sources ~apply ~rollback =
       errors
   in
   match verdict with
-  | `Clean -> Ok ()
+  | `Clean ->
+      set st;
+      Ok ()
   | `Warned fs ->
+      set st;
       Audit.emit ~engine:"pfm" m task
         ~op:"policy-load" ~obj:(describe fs) ~allowed:true;
       List.iter
@@ -436,7 +444,6 @@ let gated_load m st disp task ~file ~sources ~apply ~rollback =
         fs;
       Ok ()
   | `Refused fs ->
-      rollback ();
       Audit.emit ~engine:"pfm" m task
         ~op:"policy-load" ~obj:(describe fs) ~allowed:false;
       List.iter
@@ -457,12 +464,8 @@ let install_proc_files m st disp =
     ~write:(fun m t contents ->
       match Policy_state.parse_mounts contents with
       | Ok rules ->
-          let prev = st.Policy_state.mounts in
           gated_load m st disp t ~file:"mount_whitelist" ~sources:[ "mounts" ]
-            ~apply:(fun () ->
-              st.Policy_state.mounts <- rules;
-              Policy_state.bump_generation st Policy_state.Mounts)
-            ~rollback:(fun () -> st.Policy_state.mounts <- prev)
+            ~set:(fun s -> Policy_state.set_mounts s rules)
       | Error msg ->
           log_dmesg m "protego: mount_whitelist rejected: %s" msg;
           Error Errno.EINVAL);
@@ -487,12 +490,8 @@ let install_proc_files m st disp =
     ~write:(fun m t contents ->
       match Bindconf.parse contents with
       | Ok entries ->
-          let prev = st.Policy_state.binds in
           gated_load m st disp t ~file:"bind_map" ~sources:[ "binds" ]
-            ~apply:(fun () ->
-              st.Policy_state.binds <- entries;
-              Policy_state.bump_generation st Policy_state.Binds)
-            ~rollback:(fun () -> st.Policy_state.binds <- prev)
+            ~set:(fun s -> Policy_state.set_binds s entries)
       | Error msg ->
           log_dmesg m "protego: bind_map rejected: %s" msg;
           Error Errno.EINVAL);
@@ -501,12 +500,8 @@ let install_proc_files m st disp =
     ~write:(fun m t contents ->
       match Sudoers.parse contents with
       | Ok rules ->
-          let prev = st.Policy_state.delegation in
           gated_load m st disp t ~file:"delegation" ~sources:[ "delegation" ]
-            ~apply:(fun () ->
-              st.Policy_state.delegation <- rules;
-              Policy_state.bump_generation st Policy_state.Delegation)
-            ~rollback:(fun () -> st.Policy_state.delegation <- prev)
+            ~set:(fun s -> Policy_state.set_delegation s rules)
       | Error msg ->
           log_dmesg m "protego: delegation rejected: %s" msg;
           Error Errno.EINVAL);
@@ -518,19 +513,11 @@ let install_proc_files m st disp =
     ~write:(fun m t contents ->
       match Policy_state.parse_accounts contents with
       | Ok (users, groups) ->
-          let prev_u = st.Policy_state.users
-          and prev_g = st.Policy_state.groups in
           (* New accounts re-resolve names in the delegation and bind
              sources, so the gate re-checks those. *)
           gated_load m st disp t ~file:"accounts"
             ~sources:[ "delegation" ]
-            ~apply:(fun () ->
-              st.Policy_state.users <- users;
-              st.Policy_state.groups <- groups;
-              Policy_state.bump_generation st Policy_state.Accounts)
-            ~rollback:(fun () ->
-              st.Policy_state.users <- prev_u;
-              st.Policy_state.groups <- prev_g)
+            ~set:(fun s -> Policy_state.set_accounts s users groups)
       | Error msg ->
           log_dmesg m "protego: accounts rejected: %s" msg;
           Error Errno.EINVAL);
@@ -544,12 +531,8 @@ let install_proc_files m st disp =
     ~write:(fun m t contents ->
       match Pppopts.parse contents with
       | Ok policy ->
-          let prev = st.Policy_state.ppp in
           gated_load m st disp t ~file:"ppp_policy" ~sources:[ "ppp" ]
-            ~apply:(fun () ->
-              st.Policy_state.ppp <- policy;
-              Policy_state.bump_generation st Policy_state.Ppp)
-            ~rollback:(fun () -> st.Policy_state.ppp <- prev)
+            ~set:(fun s -> Policy_state.set_ppp s policy)
       | Error msg ->
           log_dmesg m "protego: ppp_policy rejected: %s" msg;
           Error Errno.EINVAL);

@@ -24,13 +24,6 @@ type hook_stats = {
   mutable insns : int;
 }
 
-(* Last source value observed by a decision, by physical identity.  When it
-   changes without a /proc write having bumped the generation (direct field
-   assignment, as the bench ablations and fuzz harnesses do), the observer
-   bumps the generation itself, so decision-cache entries stamped under the
-   old value can never be served. *)
-type 'k watch = { mutable seen : 'k option }
-
 (* One-entry front slot per hook, ahead of the {!Decision_cache} table.
    Where the table keys on the PFM context, the slot keys on the raw
    arguments by physical identity ('a is the caller's argument value) —
@@ -71,13 +64,14 @@ type 'a hook = {
 }
 
 (* A dispatcher hook: the ladder plus its compiled program, cached
-   against the physical identity of the policy source ('k) it was
-   compiled from, and its latency series. *)
+   against the generation of the policy source it was compiled from
+   ('k holds the source: the policy state, or the netfilter table), and
+   its latency series. *)
 type ('k, 'a) filtered = {
   h_name : string;
   h_lad : 'a hook;
   h_compile : 'k -> Pfm.program;
-  mutable h_prog : ('k * Pfm.program) option;
+  mutable h_prog : (int * Pfm.program) option;
   h_cache_key : Trace.key;  (* latency of slot and memo hits *)
   h_pfm_key : Trace.key;  (* latency of engine runs *)
 }
@@ -94,25 +88,16 @@ type t = {
           mode (false on every genuine allow/deny) *)
   mutable last_engine : string;
       (** what served the most recent decision: "cache" or "pfm" *)
-  mount : (Policy_state.mount_rule list,
-           string * string * string * Protego_kernel.Ktypes.mount_flag list)
-          filtered;
-  umount : (Policy_state.mount_rule list, string) filtered;
-  bind : (Bindconf.entry list, string) filtered;
-  nf : (Netfilter.rule list * Netfilter.verdict,
-        Packet.t * Packet.origin)
-       filtered;
-  ppp : (Pppopts.t, string * Protego_net.Ppp.option_) filtered;
+  mount :
+    (Policy_state.t,
+     string * string * string * Protego_kernel.Ktypes.mount_flag list)
+    filtered;
+  umount : (Policy_state.t, string) filtered;
+  bind : (Policy_state.t, string) filtered;
+  nf : (Netfilter.t, Packet.t * Packet.origin) filtered;
+  ppp : (Policy_state.t, string * Protego_net.Ppp.option_) filtered;
   all : any_hook list;  (* {!stats} order *)
   dcache : Decision_cache.t;
-  (* physical-identity watches backing the generation counters *)
-  mounts_watch : Policy_state.mount_rule list watch;
-  binds_watch : Bindconf.entry list watch;
-  ppp_watch : Pppopts.t watch;
-  (* The OUTPUT chain as last observed: a fresh pair on every change,
-     so the nf program cache keys on it by identity like the others. *)
-  mutable nf_key : Netfilter.rule list * Netfilter.verdict;
-  mutable nf_gen : int;
   (* decision tracing: the span ring and the span id of the most recent
      decision (for audit) *)
   trace : Trace.t;
@@ -252,37 +237,40 @@ let create () =
   let tr = Trace.create () in
   (* Registration order fixes the cache_stats and latency line order. *)
   let hook name = make_hook dcache tr name in
+  let mount_rules st = List.map filter_rule st.Policy_state.mounts in
   let mount =
     hook "mount" ~errno:(Some Errno.EPERM) ~args:("", "", "", [])
-      ~compile:(fun rules -> Compile.mount (List.map filter_rule rules))
+      ~compile:(fun st -> Compile.mount (mount_rules st))
   in
   let umount =
     hook "umount" ~errno:(Some Errno.EPERM) ~args:""
-      ~compile:(fun rules -> Compile.umount (List.map filter_rule rules))
+      ~compile:(fun st -> Compile.umount (mount_rules st))
   in
-  let bind = hook "bind" ~errno:(Some Errno.EACCES) ~args:"" ~compile:Compile.bind in
+  let bind =
+    hook "bind" ~errno:(Some Errno.EACCES) ~args:""
+      ~compile:(fun st -> Compile.bind st.Policy_state.binds)
+  in
   let nf =
     hook "nf_output" ~errno:None
       ~args:
         ( Packet.echo_request ~src:Protego_net.Ipaddr.any
             ~dst:Protego_net.Ipaddr.any ~seq:0 (),
           Packet.Kernel_stack )
-      ~compile:(fun (rules, policy) -> Compile.netfilter ~rules ~policy)
+      ~compile:(fun nf ->
+        Compile.netfilter
+          ~rules:(Netfilter.rules nf Netfilter.Output)
+          ~policy:(Netfilter.policy nf Netfilter.Output))
   in
   let ppp =
     hook "ppp_ioctl" ~errno:(Some Errno.EPERM)
-      ~args:("", Protego_net.Ppp.Accomp) ~compile:Compile.ppp_ioctl
+      ~args:("", Protego_net.Ppp.Accomp)
+      ~compile:(fun st -> Compile.ppp_ioctl st.Policy_state.ppp)
   in
   let t =
     { lint_mode = `Warn; record = false; last_recorded = false;
       last_engine = "pfm"; mount; umount; bind; nf; ppp;
       all = [ Hook mount; Hook umount; Hook bind; Hook nf; Hook ppp ];
       dcache;
-      mounts_watch = { seen = None };
-      binds_watch = { seen = None };
-      ppp_watch = { seen = None };
-      nf_key = ([], Netfilter.Accept);
-      nf_gen = 0;
       trace = tr;
       traced = false;
       last_span = 0;
@@ -340,8 +328,8 @@ let drain_opt_log t =
 let opt_rejects t = t.opt_rejects
 
 (* Gate and install one hook's optimized program.  The program cache
-   keeps its key, so a policy reload still recompiles from source (after
-   which the installed optimization reads as stale in {!render}).
+   keeps its generation, so a policy reload still recompiles from source
+   (after which the installed optimization reads as stale in {!render}).
    Soundness rests entirely on the gate: {!Pfm.verify} must accept AND
    {!Pfm_equiv.prove} must return [Equal].  A counterexample or an
    [Unknown] keeps the original program running and leaves an audit line
@@ -350,7 +338,7 @@ let optimize_hook t h =
   let name = h.h_name in
   match h.h_prog with
   | None -> (name, "skipped: no compiled program")
-  | Some (key, p) ->
+  | Some (gen, p) ->
       let already =
         match Hashtbl.find_opt t.opt_installed name with
         | Some (_, q) -> q == p
@@ -372,7 +360,7 @@ let optimize_hook t h =
             | Ok () -> (
                 match Pfm_equiv.prove p q with
                 | Pfm_equiv.Equal ->
-                    h.h_prog <- Some (key, q);
+                    h.h_prog <- Some (gen, q);
                     Hashtbl.replace t.opt_installed name (p, q);
                     let d = Pfm_opt.report_to_string rep in
                     Hashtbl.replace t.opt_status name ("active: " ^ d);
@@ -391,7 +379,7 @@ let deoptimize_hook t h =
   | None -> ()
   | Some (orig, q) ->
       (match h.h_prog with
-       | Some (key, cur) when cur == q -> h.h_prog <- Some (key, orig)
+       | Some (gen, cur) when cur == q -> h.h_prog <- Some (gen, orig)
        | _ -> () (* policy changed since: slot already holds fresh code *));
       Hashtbl.remove t.opt_installed name;
       Hashtbl.remove t.opt_status name;
@@ -414,30 +402,6 @@ let opt_status_line t h =
 let opt_statuses t =
   List.map (fun (Hook h) -> (h.h_name, opt_status_line t h)) t.all
 
-(* --- generation vectors ------------------------------------------------- *)
-
-(* The current generation of one watched Policy_state source. *)
-let watch_source watch st source ~key =
-  (match watch.seen with
-   | Some k when k == key -> ()
-   | Some _ ->
-       Policy_state.bump_generation st source;
-       watch.seen <- Some key
-   | None -> watch.seen <- Some key);
-  Policy_state.generation st source
-
-(* The netfilter chain lives on the machine, not in Policy_state; its
-   generation counter is dispatcher-local. *)
-let watch_chain t nf =
-  let rules = Netfilter.rules nf Netfilter.Output in
-  let policy = Netfilter.policy nf Netfilter.Output in
-  let r, p = t.nf_key in
-  if not (r == rules && p = policy) then begin
-    t.nf_gen <- t.nf_gen + 1;
-    t.nf_key <- (rules, policy)
-  end;
-  t.nf_gen
-
 (* --- hook decisions ---------------------------------------------------- *)
 
 (* Every decide_* below keeps only what is specific to its hook — the
@@ -456,17 +420,19 @@ let[@inline] slot_done t =
 let allowed (v : Pfm.verdict) =
   match v with Pfm.Allow -> true | Pfm.Deny | Pfm.Reject -> false
 
-let fetch h key =
+(* The hook's program for generation [gen] of [src]: compiled once per
+   generation, so a reload (which bumps) recompiles on the next miss. *)
+let fetch h ~gen src =
   match h.h_prog with
-  | Some (k, p) when k == key -> p
+  | Some (g, p) when g = gen -> p
   | prev ->
       (match prev with
        | Some _ ->
            let st = h.h_lad.l_stats in
            st.invalidations <- st.invalidations + 1
        | None -> ());
-      let p = h.h_compile key in
-      h.h_prog <- Some (key, p);
+      let p = h.h_compile src in
+      h.h_prog <- Some (gen, p);
       p
 
 (* Close out a decision the ladder served.  While traced, the serving
@@ -508,15 +474,15 @@ let finish t h ~t0 ~ts (v : Pfm.verdict) =
 
 let hit t h ~t0 = finish t h ~t0 ~ts:0 (slot_hit h.h_lad)
 
-let miss t h ~t0 ~ts ~sub ~ph ~x ~args ~ctx ~key =
-  finish t h ~t0 ~ts (serve h.h_lad ~prog:(fetch h key) ~sub ~ph ~x ~args ~ctx)
+let miss t h ~t0 ~ts ~sub ~ph ~x ~args ~ctx ~gen ~src =
+  finish t h ~t0 ~ts
+    (serve h.h_lad ~prog:(fetch h ~gen src) ~sub ~ph ~x ~args ~ctx)
 
 let decide_mount t ?(subject = 0) ?(phase = Phase.initial) (st : Policy_state.t)
     ~source ~target ~fstype ~flags =
   let t0 = start t in
   let h = t.mount in
-  let key = st.Policy_state.mounts in
-  let gen = watch_source t.mounts_watch st Policy_state.Mounts ~key in
+  let gen = Policy_state.generation st Policy_state.Mounts in
   let ph = Phase.index phase in
   allowed
     (if
@@ -526,7 +492,7 @@ let decide_mount t ?(subject = 0) ?(phase = Phase.initial) (st : Policy_state.t)
      then hit t h ~t0
      else
        let ts = slot_done t in
-       miss t h ~t0 ~ts ~sub:subject ~ph ~x:0 ~key
+       miss t h ~t0 ~ts ~sub:subject ~ph ~x:0 ~gen ~src:st
          ~args:(source, target, fstype, flags)
          ~ctx:(Compile.mount_ctx ~phase:ph ~source ~target ~fstype ~flags))
 
@@ -534,8 +500,7 @@ let decide_umount t ?(phase = Phase.initial) (st : Policy_state.t) ~target
     ~mounted_by ~ruid =
   let t0 = start t in
   let h = t.umount in
-  let key = st.Policy_state.mounts in
-  let gen = watch_source t.mounts_watch st Policy_state.Mounts ~key in
+  let gen = Policy_state.generation st Policy_state.Mounts in
   let ph = Phase.index phase in
   allowed
     (if
@@ -544,15 +509,14 @@ let decide_umount t ?(phase = Phase.initial) (st : Policy_state.t) ~target
      then hit t h ~t0
      else
        let ts = slot_done t in
-       miss t h ~t0 ~ts ~sub:ruid ~ph ~x:mounted_by ~key ~args:target
+       miss t h ~t0 ~ts ~sub:ruid ~ph ~x:mounted_by ~gen ~src:st ~args:target
          ~ctx:(Compile.umount_ctx ~phase:ph ~target ~mounted_by ~ruid))
 
 let decide_bind t ?(phase = Phase.initial) (st : Policy_state.t) ~port ~proto
     ~exe ~uid =
   let t0 = start t in
   let h = t.bind in
-  let key = st.Policy_state.binds in
-  let gen = watch_source t.binds_watch st Policy_state.Binds ~key in
+  let gen = Policy_state.generation st Policy_state.Binds in
   let ph = Phase.index phase in
   let x = (port * 2) + (match proto with Bindconf.Tcp -> 0 | Bindconf.Udp -> 1) in
   allowed
@@ -560,15 +524,14 @@ let decide_bind t ?(phase = Phase.initial) (st : Policy_state.t) ~port ~proto
        hit t h ~t0
      else
        let ts = slot_done t in
-       miss t h ~t0 ~ts ~sub:uid ~ph ~x ~key ~args:exe
+       miss t h ~t0 ~ts ~sub:uid ~ph ~x ~gen ~src:st ~args:exe
          ~ctx:(Compile.bind_ctx ~phase:ph ~port ~proto ~exe ~uid))
 
 let decide_ppp_ioctl t ?(subject = 0) ?(phase = Phase.initial)
     (st : Policy_state.t) ~device ~opt =
   let t0 = start t in
   let h = t.ppp in
-  let key = st.Policy_state.ppp in
-  let gen = watch_source t.ppp_watch st Policy_state.Ppp ~key in
+  let gen = Policy_state.generation st Policy_state.Ppp in
   let ph = Phase.index phase in
   allowed
     (if
@@ -578,13 +541,13 @@ let decide_ppp_ioctl t ?(subject = 0) ?(phase = Phase.initial)
      then hit t h ~t0
      else
        let ts = slot_done t in
-       miss t h ~t0 ~ts ~sub:subject ~ph ~x:0 ~key ~args:(device, opt)
+       miss t h ~t0 ~ts ~sub:subject ~ph ~x:0 ~gen ~src:st ~args:(device, opt)
          ~ctx:(Compile.ppp_ctx ~phase:ph ~device ~opt))
 
 let decide_nf_output t nf pkt ~origin =
   let t0 = start t in
   let h = t.nf in
-  let gen = watch_chain t nf in
+  let gen = Netfilter.generation nf Netfilter.Output in
   Compile.netfilter_of_verdict
     (if
        slot_live h.h_lad ~gen ~sub:0 ~ph:0 ~x:0
@@ -595,7 +558,7 @@ let decide_nf_output t nf pkt ~origin =
        let ts = slot_done t in
        (* packet_ctx is the canonical integer encoding of everything the
           chain can match on: the memo key and the engine input alike. *)
-       miss t h ~t0 ~ts ~sub:0 ~ph:0 ~x:0 ~key:t.nf_key ~args:(pkt, origin)
+       miss t h ~t0 ~ts ~sub:0 ~ph:0 ~x:0 ~gen ~src:nf ~args:(pkt, origin)
          ~ctx:(Compile.packet_ctx pkt ~origin))
 
 (* --- load-time policy lint --------------------------------------------- *)

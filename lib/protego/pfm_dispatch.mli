@@ -20,13 +20,12 @@
     they are the oracles the differential and fuzz suites hold every
     compiled verdict to.
 
-    Program caches key on the {e physical identity} of the policy source
-    (the rule list / bind map / ppp policy record / netfilter chain).
-    Every write to the corresponding /proc/protego file installs a fresh
-    value, so the next evaluation recompiles; direct field assignment
-    (as the bench ablations do) is caught the same way — the dispatcher
-    watches each source's physical identity and bumps its generation on
-    any unannounced change, so the decision cache is invalidated too.
+    Program caches key on the generation of the policy source
+    ({!Policy_state.generation}, or {!Protego_net.Netfilter.generation}
+    for the OUTPUT chain).  Every write goes through a setter or chain
+    mutator that bumps it, so the next evaluation after a reload
+    recompiles, and the same generation invalidates the decision cache:
+    the dispatcher never works a version out of the values itself.
 
     A dispatcher serves one {!Policy_state.t} (as {!Lsm.install} wires
     it); decision-cache keys do not name the state, so sharing a

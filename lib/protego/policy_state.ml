@@ -49,10 +49,12 @@ type t = {
   mutable users : account_user list;
   mutable groups : account_group list;
   mutable ppp : Protego_policy.Pppopts.t;
-  mutable reauth_read_prefixes : string list;
-  mutable file_acl : (string * string list) list;
+  reauth_read_prefixes : string list;
+  file_acl : (string * string list) list;
   generations : int Atomic.t array;
 }
+
+let fresh_generations () = Array.init source_count (fun _ -> Atomic.make 0)
 
 let create () =
   { mounts = []; binds = []; delegation = Protego_policy.Sudoers.empty;
@@ -60,7 +62,12 @@ let create () =
     reauth_read_prefixes = [ "/etc/shadows/" ];
     file_acl =
       [ ("/etc/ssh/ssh_host_rsa_key", [ "/usr/lib/openssh/ssh-keysign" ]) ];
-    generations = Array.init source_count (fun _ -> Atomic.make 0) }
+    generations = fresh_generations () }
+
+(* The policy fields are immutable values (lists, records): aliasing them
+   into a fresh record decouples the copy from every later setter call,
+   which only ever replaces whole fields. *)
+let copy t = { t with generations = fresh_generations () }
 
 let sources = [ Mounts; Binds; Delegation; Accounts; Ppp ]
 
@@ -73,6 +80,30 @@ let sources = [ Mounts; Binds; Delegation; Accounts; Ppp ]
 let generation t s = Atomic.get t.generations.(source_index s)
 
 let bump_generation t s = Atomic.incr t.generations.(source_index s)
+
+(* The only writers of the policy fields: value first, then the bump, so
+   a reader that takes the generation before the value never pairs an
+   old value with the new generation. *)
+let set_mounts t rules =
+  t.mounts <- rules;
+  bump_generation t Mounts
+
+let set_binds t entries =
+  t.binds <- entries;
+  bump_generation t Binds
+
+let set_delegation t rules =
+  t.delegation <- rules;
+  bump_generation t Delegation
+
+let set_accounts t users groups =
+  t.users <- users;
+  t.groups <- groups;
+  bump_generation t Accounts
+
+let set_ppp t policy =
+  t.ppp <- policy;
+  bump_generation t Ppp
 
 (* --- name service ---------------------------------------------------- *)
 

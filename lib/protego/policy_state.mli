@@ -66,16 +66,16 @@ type account_group = {
 type source = Mounts | Binds | Delegation | Accounts | Ppp
 (** The /proc-configurable policy sources, for generation accounting. *)
 
-type t = {
+type t = private {
   mutable mounts : mount_rule list;
   mutable binds : Protego_policy.Bindconf.entry list;
   mutable delegation : Protego_policy.Sudoers.t;
   mutable users : account_user list;
   mutable groups : account_group list;
   mutable ppp : Protego_policy.Pppopts.t;
-  mutable reauth_read_prefixes : string list;
+  reauth_read_prefixes : string list;
       (** reading files under these paths requires recent authentication *)
-  mutable file_acl : (string * string list) list;
+  file_acl : (string * string list) list;
       (** sensitive file -> binaries allowed to open it (ssh-keysign rule) *)
   generations : int Atomic.t array;
       (** per-source generation counters, indexed by {!source} — use
@@ -83,21 +83,48 @@ type t = {
           Atomic so the multi-domain decision plane can read the vector
           while a /proc writer bumps it; see DESIGN.md §6. *)
 }
+(** [private]: the fields are read freely, but only this module writes
+    them — the policy fields through the setters below, each of which
+    bumps the written source's generation. *)
 
 val create : unit -> t
 (** Empty policy plus the hard-coded defaults: reauthentication on
     [/etc/shadows/], host-key ACL for [/usr/lib/openssh/ssh-keysign].
     All generations start at 0. *)
 
+val copy : t -> t
+(** A private copy of the policy values (they are immutable, so
+    aliasing them is a deep-enough copy): no later setter call on
+    either state shows through to the other.  The copy's generations
+    start at 0. *)
+
 (** {1 Generations}
 
-    Every /proc/protego policy write bumps the written source's generation
-    counter.  The decision cache ({!Decision_cache}) stamps each memoized
-    verdict with the generation vector of the sources its hook reads, so a
-    reload lazily invalidates exactly the affected entries — no global
-    flush.  The dispatcher additionally bumps a source's generation when it
-    observes the source's physical identity change without a /proc write
-    (the bench and fuzz harnesses assign fields directly). *)
+    A source's generation is the one version stamp of its value.  Only
+    the setters below write a policy field, and each bumps the written
+    source's generation exactly once, after assigning the value, so a
+    source whose generation is unchanged still holds the very value it
+    held before.  The decision cache ({!Decision_cache}) stamps each
+    memoized verdict with the generation of the source its hook reads,
+    the dispatcher's program cache and a plane snapshot's compiled
+    programs ({!Protego_plane.Snapshot}) key on it too, so a reload
+    lazily invalidates exactly the affected entries — no global flush,
+    and no second writer that works the version out again.
+
+    The ordering rule: setters write the value, then bump; readers read
+    the generation, then the value.  A reader racing a setter can then
+    pair a newer value with an older generation, which the next read of
+    the bumped generation corrects, but never an older value with the
+    newer generation, which no later read would notice. *)
+
+val set_mounts : t -> mount_rule list -> unit
+val set_binds : t -> Protego_policy.Bindconf.entry list -> unit
+val set_delegation : t -> Protego_policy.Sudoers.t -> unit
+
+val set_accounts : t -> account_user list -> account_group list -> unit
+(** Users and groups are one source, [Accounts]: one bump for both. *)
+
+val set_ppp : t -> Protego_policy.Pppopts.t -> unit
 
 val source_name : source -> string
 (** ["mounts"], ["binds"], ["delegation"], ["accounts"], ["ppp"]. *)
@@ -109,7 +136,10 @@ val source_index : source -> int
 (** Dense index into {!t.generations} (0..4, {!sources} order). *)
 
 val generation : t -> source -> int
+
 val bump_generation : t -> source -> unit
+(** Announce a reload without a new value: everything stamped with the
+    source's old generation goes stale, as after a setter call. *)
 
 (** {1 Name service} *)
 

@@ -834,9 +834,9 @@ let write_dir dir r =
 
 let state_of r =
   let st = PS.create () in
-  st.PS.mounts <- r.r_mounts;
-  st.PS.binds <- r.r_binds;
-  st.PS.ppp <- r.r_ppp;
+  PS.set_mounts st r.r_mounts;
+  PS.set_binds st r.r_binds;
+  PS.set_ppp st r.r_ppp;
   st
 
 let netfilter_of r =

@@ -63,8 +63,8 @@ val default : ?seed:int -> ?phases:(phase * int) list -> unit -> spec
 val install_policy : spec -> PS.t -> unit
 (** Install the synthetic policy the generated requests are built
     against (mount whitelist [/dev/wl<i> -> /media/wl<i>], bind map
-    ports [1000+<i>], ppp device whitelist) and bump the written
-    sources' generations.  Must be called on the plane's live state
+    ports [1000+<i>], ppp device whitelist) through the {!PS} setters,
+    which bump the written sources' generations.  Must be called on the plane's live state
     before running a schedule, or every request denies. *)
 
 type schedule = {

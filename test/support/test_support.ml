@@ -61,9 +61,9 @@ type hook_driver = { hd_name : string; hd_decide : int -> unit }
 let driver_state () =
   let st = PS.create () in
   let ok = function Ok v -> v | Error e -> failwith ("driver_state: " ^ e) in
-  st.PS.mounts <- ok (PS.parse_mounts "allow /dev/a /m ext4 - users\n");
-  st.PS.binds <- ok (Protego_policy.Bindconf.parse "25 tcp /usr/sbin/exim4 0\n");
-  st.PS.ppp <- ok (Protego_policy.Pppopts.parse "allow-device /dev/ttyS0\n");
+  PS.set_mounts st (ok (PS.parse_mounts "allow /dev/a /m ext4 - users\n"));
+  PS.set_binds st (ok (Protego_policy.Bindconf.parse "25 tcp /usr/sbin/exim4 0\n"));
+  PS.set_ppp st (ok (Protego_policy.Pppopts.parse "allow-device /dev/ttyS0\n"));
   st
 
 let sources = [| "/dev/a"; "/dev/b" |] and targets = [| "/m"; "/n" |]

@@ -14,6 +14,8 @@ module Bindconf = Protego_policy.Bindconf
 module Sudoers = Protego_policy.Sudoers
 module Pppopts = Protego_policy.Pppopts
 module PS = Protego_core.Policy_state
+module Plane = Protego_plane.Plane
+module Snapshot = Protego_plane.Snapshot
 
 let check = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
@@ -291,13 +293,24 @@ let test_lint_gate_proc () =
   Syntax.expect_ok "restore whitelist" (write "/proc/protego/mount_whitelist" before);
   check "restored state lints clean" true
     (contains (read "/proc/protego/lint") "no findings");
-  (* Enforce mode: the same write is refused and rolled back. *)
+  (* Enforce mode: the same write is refused and never reaches the live
+     state: its value, its generation and the plane's snapshot stay. *)
   Syntax.expect_ok "switch to enforce" (write "/proc/protego/lint" "mode enforce\n");
   check "mode reported" true (contains (read "/proc/protego/lint") "mode enforce");
+  let st = Protego_core.Lsm.state (Option.get img.Image.protego) in
+  let plane = Option.get img.Image.plane in
+  ignore (Plane.refresh plane : Snapshot.t);
+  let gen = PS.generation st PS.Mounts in
   Alcotest.(check (result unit errno)) "enforce mode refuses"
     (Error Errno.EPERM)
     (write "/proc/protego/mount_whitelist" bad);
   check_str "refused write rolled back" before (read "/proc/protego/mount_whitelist");
+  Alcotest.(check int) "refused write leaves the generation" gen
+    (PS.generation st PS.Mounts);
+  check "refused write leaves the plane snapshot current" true
+    (List.for_all
+       (fun s -> Snapshot.gen_for (Plane.current plane) s = PS.generation st s)
+       PS.sources);
   check "refusal audited" true
     (List.exists (fun r -> not r.Audit.au_allowed) (policy_loads m));
   (* Warning-severity findings do not trip the enforce gate. *)

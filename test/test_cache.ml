@@ -157,7 +157,7 @@ let test_register_and_reset () =
 
 let raw_dispatch () =
   let st = PS.create () in
-  st.PS.mounts <-
+  PS.set_mounts st
     [ { PS.mr_source = "/dev/a"; mr_target = "/m"; mr_fstype = "ext4";
         mr_flags = []; mr_mode = `Users; mr_phase = PS.Phase.Always } ];
   (st, PD.create ())
@@ -180,9 +180,9 @@ let test_dispatch_cache_flow () =
   check_int "two entries" 2 (DC.length dc);
   check "back to the first subject" true (decide 1);
   check_str "still cached per subject" "cache" (PD.decision_engine_name disp);
-  (* Direct field assignment (no /proc write) is caught by the dispatcher's
-     source watch: the generation bumps and nothing stale is served. *)
-  st.PS.mounts <- [];
+  (* A reload through the setter bumps the generation, so nothing stale
+     is served. *)
+  PS.set_mounts st [];
   check "reload denies" true (not (decide 1));
   check_str "post-reload decision from the engine" "pfm"
     (PD.decision_engine_name disp);
@@ -238,7 +238,7 @@ module Ipaddr = Protego_net.Ipaddr
 let us_state () =
   let st = PS.create () in
   (match PS.parse_mounts "allow a b\x1fc d nosuid user\n" with
-   | Ok rules -> st.PS.mounts <- rules
+   | Ok rules -> PS.set_mounts st rules
    | Error e -> Alcotest.fail ("whitelist refused: " ^ e));
   st
 

@@ -226,7 +226,7 @@ let prop_pfm_mount =
               (pair (oneofl fstypes) flags_gen))))
     (fun (rules, queries) ->
       let st = PS.create () in
-      st.PS.mounts <- rules;
+      PS.set_mounts st rules;
       let prog = Compile.mount (List.map filter_rule rules) in
       List.for_all
         (fun ((source, target), (fstype, flags)) ->
@@ -246,7 +246,7 @@ let prop_pfm_umount =
               (oneofl [ 0; 1000; 1001 ]))))
     (fun (rules, queries) ->
       let st = PS.create () in
-      st.PS.mounts <- rules;
+      PS.set_mounts st rules;
       let prog = Compile.umount (List.map filter_rule rules) in
       List.for_all
         (fun (target, mounted_by, ruid) ->
@@ -279,7 +279,7 @@ let prop_pfm_bind =
               (pair (oneofl bind_exes) (oneofl bind_uids)))))
     (fun (entries, queries) ->
       let st = PS.create () in
-      st.PS.binds <- entries;
+      PS.set_binds st entries;
       let prog = Compile.bind entries in
       List.for_all
         (fun ((port, tcp), (exe, uid)) ->
@@ -388,7 +388,7 @@ let prop_pfm_ppp =
            (pair (oneofl ("/dev/ttyS9" :: ppp_devices)) (oneofl ppp_opts))))
     (fun (directives, queries) ->
       let st = PS.create () in
-      st.PS.ppp <- { Pppopts.directives };
+      PS.set_ppp st { Pppopts.directives };
       let prog = Compile.ppp_ioctl { Pppopts.directives } in
       List.for_all
         (fun (device, opt) ->
@@ -519,7 +519,7 @@ let mount_query_gen =
 
 let cache_diff_mount =
   cache_differential ~name:"mount" ~state:PS.create
-    ~reload:(fun gen1 st -> st.PS.mounts <- gen1 mount_policy_gen)
+    ~reload:(fun gen1 st -> PS.set_mounts st (gen1 mount_policy_gen))
     ~query:(fun gen1 -> gen1 mount_query_gen)
     ~decide:(fun disp st ((source, target), (fstype, (flags, subject))) ->
       PD.decide_mount disp ~subject st ~source ~target ~fstype ~flags)
@@ -532,7 +532,7 @@ let umount_query_gen =
 
 let cache_diff_umount =
   cache_differential ~name:"umount" ~state:PS.create
-    ~reload:(fun gen1 st -> st.PS.mounts <- gen1 mount_policy_gen)
+    ~reload:(fun gen1 st -> PS.set_mounts st (gen1 mount_policy_gen))
     ~query:(fun gen1 -> gen1 umount_query_gen)
     ~decide:(fun disp st (target, mounted_by, ruid) ->
       PD.decide_umount disp st ~target ~mounted_by ~ruid)
@@ -548,7 +548,8 @@ let bind_query_gen =
 let cache_diff_bind =
   cache_differential ~name:"bind" ~state:PS.create
     ~reload:(fun gen1 st ->
-      st.PS.binds <- gen1 QCheck2.Gen.(list_size (int_bound 10) bind_entry_gen))
+      PS.set_binds st
+        (gen1 QCheck2.Gen.(list_size (int_bound 10) bind_entry_gen)))
     ~query:(fun gen1 -> gen1 bind_query_gen)
     ~decide:(fun disp st ((port, tcp), (exe, uid)) ->
       let proto = if tcp then Bindconf.Tcp else Bindconf.Udp in
@@ -565,7 +566,7 @@ let ppp_query_gen =
 let cache_diff_ppp =
   cache_differential ~name:"ppp_ioctl" ~state:PS.create
     ~reload:(fun gen1 st ->
-      st.PS.ppp <-
+      PS.set_ppp st
         { Pppopts.directives =
             gen1 QCheck2.Gen.(list_size (int_bound 6) ppp_directive_gen) })
     ~query:(fun gen1 -> gen1 ppp_query_gen)

@@ -45,12 +45,11 @@ let test_freeze_publish () =
   check_int "frozen mounts gen" (PS.generation st PS.Mounts)
     (Snapshot.gen_for s0 PS.Mounts);
   check_bool "not stale at rest" false (Snapshot.stale pub st);
-  (* A /proc-style reload: replace a field, bump, republish. *)
-  st.PS.mounts <-
+  (* A /proc-style reload: replace a field through its setter, republish. *)
+  PS.set_mounts st
     [ { PS.mr_source = "/dev/cdrom"; mr_target = "/media/cdrom";
         mr_fstype = "iso9660"; mr_flags = []; mr_mode = `Users;
         mr_phase = PS.Phase.Always } ];
-  PS.bump_generation st PS.Mounts;
   check_bool "stale after bump" true (Snapshot.stale pub st);
   let s1 = Snapshot.publish pub st in
   check_int "epoch advanced" 1 s1.Snapshot.epoch;
@@ -65,21 +64,6 @@ let test_freeze_publish () =
   check_bool "new snapshot, new verdict" true
     (PS.mount_decision s1.Snapshot.frozen ~source:"/dev/cdrom"
        ~target:"/media/cdrom" ~fstype:"iso9660" ~flags:[])
-
-let test_watch_parity () =
-  let sp = spec () in
-  let st = fresh_state sp in
-  let pub = Snapshot.make st in
-  let before = PS.generation st PS.Binds in
-  (* Direct assignment without a generation bump — the harness pattern
-     the dispatcher's watches exist for. *)
-  st.PS.binds <- [];
-  check_bool "identity change is stale" true (Snapshot.stale pub st);
-  let s1 = Snapshot.publish pub st in
-  check_int "publish bumped the unannounced source" (before + 1)
-    (PS.generation st PS.Binds);
-  check_int "snapshot froze the bumped gen" (before + 1)
-    (Snapshot.gen_for s1 PS.Binds)
 
 let test_history_bound () =
   (* The publication history is a bounded window, not an unbounded log:
@@ -176,11 +160,6 @@ let test_share_unprogrammed () =
   check_sharing "accounts bump" ~change:(bump PS.Accounts)
     ~expect:[ false; false; false; false ]
 
-let test_share_unannounced () =
-  check_sharing "unannounced binds assignment"
-    ~change:(fun st -> st.PS.binds <- List.tl st.PS.binds)
-    ~expect:[ false; false; true; false ]
-
 (* Programs carried over stay carried over across several publishes,
    and a snapshot's programs always match its own frozen rules. *)
 let test_share_chain () =
@@ -189,8 +168,7 @@ let test_share_chain () =
   let s0 = Snapshot.current pub in
   bump PS.Binds st;
   ignore (Snapshot.publish pub st : Snapshot.t);
-  st.PS.ppp <- { Protego_policy.Pppopts.directives = [] };
-  PS.bump_generation st PS.Ppp;
+  PS.set_ppp st { Protego_policy.Pppopts.directives = [] };
   let s2 = Snapshot.publish pub st in
   check_bool "mount shared across two publishes" true
     (s0.Snapshot.progs.Snapshot.p_mount == s2.Snapshot.progs.Snapshot.p_mount);
@@ -219,14 +197,13 @@ let test_publish_alloc () =
     (ppp_only <= full /. 10.)
 
 (* The differential over random interleavings of everything that moves
-   a 1-worker plane: bump-only reloads, announced and unannounced
-   replacements of a source's list, phase steps, and decision batches.
+   a 1-worker plane: bump-only reloads, replacements of a source's list
+   through its setter, phase steps, and decision batches.
    Replacement lists are subsets of the installed rules, some of them
    phase-guarded, so replacements and phase steps change verdicts. *)
 type inc_op =
   | Bump of PS.source
-  | Replace of PS.source * int   (* list variant, generation bumped *)
-  | Assign of PS.source * int    (* list variant, no bump *)
+  | Replace of PS.source * int   (* list variant, through the setter *)
   | Step of int                  (* advance the phase of a pool subject *)
   | Decide of int list           (* pool indices through [Plane.decide] *)
   | Batch of int list            (* pool indices through [Plane.run] *)
@@ -239,7 +216,6 @@ let inc_pool =
 let show_inc_op = function
   | Bump s -> "bump " ^ PS.source_name s
   | Replace (s, k) -> Printf.sprintf "replace %s %d" (PS.source_name s) k
-  | Assign (s, k) -> Printf.sprintf "assign %s %d" (PS.source_name s) k
   | Step i -> Printf.sprintf "step %d" i
   | Decide is ->
       "decide " ^ String.concat "," (List.map string_of_int is)
@@ -254,7 +230,6 @@ let gen_inc_ops =
     frequency
       [ (2, map (fun s -> Bump s) (oneofl PS.sources));
         (2, map2 (fun s k -> Replace (s, k)) listed (int_bound 63));
-        (2, map2 (fun s k -> Assign (s, k)) listed (int_bound 63));
         (1, map (fun i -> Step i) (int_bound (pool_len - 1)));
         (3, map (fun is -> Decide is) idxs);
         (3, map (fun is -> Batch is) idxs) ]
@@ -274,15 +249,15 @@ let variant k xs ~guard =
 let apply_variant (base : PS.t) (st : PS.t) source k =
   match source with
   | PS.Mounts ->
-      st.PS.mounts <-
-        variant k base.PS.mounts ~guard:(fun r g -> { r with PS.mr_phase = g })
+      PS.set_mounts st
+        (variant k base.PS.mounts ~guard:(fun r g -> { r with PS.mr_phase = g }))
   | PS.Binds ->
-      st.PS.binds <-
-        variant k base.PS.binds ~guard:(fun e g ->
-            { e with Protego_policy.Bindconf.phase = g })
+      PS.set_binds st
+        (variant k base.PS.binds ~guard:(fun e g ->
+             { e with Protego_policy.Bindconf.phase = g }))
   | PS.Ppp ->
       let open Protego_policy.Pppopts in
-      st.PS.ppp <-
+      PS.set_ppp st
         { directives =
             variant k base.PS.ppp.directives ~guard:(fun d g ->
                 match d with
@@ -310,9 +285,7 @@ let prop_incremental_differential =
               ignore (Plane.publish plane : Snapshot.t)
           | Replace (s, k) ->
               apply_variant base st s k;
-              PS.bump_generation st s;
               ignore (Plane.publish plane : Snapshot.t)
-          | Assign (s, k) -> apply_variant base st s k
           | Step i ->
               let subject = Plane.subject_of pool.(i) in
               let ph = Plane.subject_phase plane ~subject in
@@ -358,13 +331,16 @@ let prop_incremental_differential =
 (* --- both callers of the decision ladder ---------------------------------- *)
 
 type ladder_op =
-  | Ask of int * bool  (* pool index; a fresh structural copy? *)
+  | Ask of int * bool * bool
+      (* pool index; a fresh structural copy?  does the plane ask first? *)
   | Reload of PS.source * int  (* list variant, generation bumped *)
   | Touch of PS.source  (* generation bump alone *)
 
 let show_ladder_op = function
-  | Ask (i, fresh) ->
-      Printf.sprintf "ask %d%s" i (if fresh then " fresh" else "")
+  | Ask (i, fresh, plane_first) ->
+      Printf.sprintf "ask %d%s%s" i
+        (if fresh then " fresh" else "")
+        (if plane_first then " plane-first" else "")
   | Reload (s, k) -> Printf.sprintf "reload %s %d" (PS.source_name s) k
   | Touch s -> "touch " ^ PS.source_name s
 
@@ -378,8 +354,8 @@ let gen_ladder_ops =
   let listed = oneofl [ PS.Mounts; PS.Binds; PS.Ppp ] in
   let op =
     frequency
-      [ (12, map2 (fun i f -> Ask (i, f)) (int_bound (ladder_pool_len () - 1))
-               bool);
+      [ (12, map3 (fun i f p -> Ask (i, f, p))
+               (int_bound (ladder_pool_len () - 1)) bool bool);
         (2, map2 (fun s k -> Reload (s, k)) listed (int_bound 63));
         (1, map (fun s -> Touch s) (oneofl PS.sources)) ]
   in
@@ -414,13 +390,8 @@ let dispatch disp st = function
    Policy_state with reloads in between.  Both must give the oracle's
    verdict, and per hook both must have run the engine equally often:
    the shared ladder memoizes the same (context, generation) pairs
-   whichever caller drives it.  Each request goes to the dispatcher
-   first, so its identity watch (which bumps a source's generation when
-   the field changed identity) has settled the generation before the
-   plane publishes.  Reloads are announced, as /proc writes are: with
-   an unannounced assignment the two callers' watches each bump the
-   shared generation on their own schedule, and one may re-run the
-   engine for a verdict the other still holds. *)
+   whichever caller drives it, and whichever asks first.  Reloads go
+   through the setters, the one writer of the generation. *)
 let prop_ladder_callers =
   QCheck.Test.make ~count:100
     ~name:"dispatcher and 1-worker plane: same verdicts, same engine runs"
@@ -434,20 +405,25 @@ let prop_ladder_callers =
       let fail fmt = QCheck.Test.fail_reportf fmt in
       List.iter
         (function
-          | Ask (i, fresh) ->
+          | Ask (i, fresh, plane_first) ->
               let req = if fresh then fresh_copy pool.(i) else pool.(i) in
-              let via_disp = dispatch disp st req in
-              let via_plane =
+              let ask_plane () =
                 (Plane.decide plane req).Plane.o_verdict = Pfm.Allow
+              in
+              let via_disp, via_plane =
+                if plane_first then
+                  let p = ask_plane () in
+                  (dispatch disp st req, p)
+                else
+                  let d = dispatch disp st req in
+                  (d, ask_plane ())
               in
               let want = Plane.request_oracle st req in
               if via_disp <> want then
                 fail "dispatcher disagrees with the oracle on request %d" i;
               if via_plane <> want then
                 fail "plane disagrees with the oracle on pool request %d" i
-          | Reload (s, k) ->
-              apply_variant base st s k;
-              PS.bump_generation st s
+          | Reload (s, k) -> apply_variant base st s k
           | Touch s -> PS.bump_generation st s)
         ops;
       List.iter
@@ -458,6 +434,44 @@ let prop_ladder_callers =
               evals ht.Plane.ht_evals)
         (Plane.hook_stats plane);
       true)
+
+(* One /proc reload is one version: a whitelist rewrite, then a
+   decision from each caller over the image's live state, moves the
+   mounts generation and the plane's epoch by exactly one each.  Both
+   callers are warmed first, so neither is seeing the source for the
+   first time. *)
+let test_proc_reload_one_bump () =
+  let img = Image.build Image.Protego in
+  let m = img.Image.machine in
+  let root = Image.login img "root" in
+  let lsm = Option.get img.Image.protego in
+  let disp = Protego_core.Lsm.dispatch lsm in
+  let st = Protego_core.Lsm.state lsm in
+  let plane = Option.get img.Image.plane in
+  let req =
+    Plane.Mount
+      { subject = 1000; source = "/dev/cdrom"; target = "/media/cdrom";
+        fstype = "iso9660"; flags = [] }
+  in
+  let ask () =
+    ignore (dispatch disp st req : bool);
+    ignore (Plane.decide plane req : Plane.outcome)
+  in
+  ask ();
+  let gen0 = PS.generation st PS.Mounts in
+  let epoch0 = (Plane.current plane).Snapshot.epoch in
+  let path = "/proc/protego/mount_whitelist" in
+  let ok what = Protego_base.Syntax.expect_ok what in
+  let wl = ok "read whitelist" (Syscall.read_file m root path) in
+  ok "rewrite whitelist" (Syscall.write_file m root path wl);
+  ask ();
+  check_int "one bump per reload" (gen0 + 1) (PS.generation st PS.Mounts);
+  check_int "one publish per reload" (epoch0 + 1)
+    (Plane.current plane).Snapshot.epoch;
+  ask ();
+  check_int "no bump without a reload" (gen0 + 1) (PS.generation st PS.Mounts);
+  check_int "no publish without a reload" (epoch0 + 1)
+    (Plane.current plane).Snapshot.epoch
 
 (* --- sequential decide vs the oracle ------------------------------------ *)
 
@@ -595,8 +609,7 @@ let test_semantic_flip_never_torn () =
         mr_fstype = "iso9660"; mr_flags = flags; mr_mode = `Users;
         mr_phase = PS.Phase.Always } ]
   in
-  st.PS.mounts <- rule [];
-  PS.bump_generation st PS.Mounts;
+  PS.set_mounts st (rule []);
   let plane = Plane.create ~domains:2 st in
   let snaps = Hashtbl.create 8 in
   let remember s = Hashtbl.replace snaps s.Snapshot.epoch s in
@@ -609,8 +622,7 @@ let test_semantic_flip_never_torn () =
   in
   let reqs = Array.make 10_000 req in
   let flip flags () =
-    st.PS.mounts <- rule flags;
-    PS.bump_generation st PS.Mounts;
+    PS.set_mounts st (rule flags);
     remember (Plane.publish plane)
   in
   let reloads =
@@ -982,7 +994,6 @@ let test_replay_missing_epochs () =
 let suites =
   [ ("plane:snapshot",
      [ Alcotest.test_case "freeze and publish" `Quick test_freeze_publish;
-       Alcotest.test_case "watch parity" `Quick test_watch_parity;
        Alcotest.test_case "bounded history" `Quick test_history_bound;
        Alcotest.test_case "atomic generations" `Quick test_atomic_generations ]);
     ("plane:incremental",
@@ -993,8 +1004,6 @@ let suites =
        Alcotest.test_case "ppp bump recompiles only ppp" `Quick test_share_ppp;
        Alcotest.test_case "delegation and accounts bumps recompile nothing"
          `Quick test_share_unprogrammed;
-       Alcotest.test_case "unannounced assignment recompiles its source"
-         `Quick test_share_unannounced;
        Alcotest.test_case "shared programs survive a publish chain" `Quick
          test_share_chain;
        Alcotest.test_case "ppp-only publish allocation gate" `Quick
@@ -1009,7 +1018,9 @@ let suites =
          test_differential_domains;
        Alcotest.test_case "semantic flip never torn" `Quick
          test_semantic_flip_never_torn;
-       QCheck_alcotest.to_alcotest ~long:false prop_ladder_callers ]);
+       QCheck_alcotest.to_alcotest ~long:false prop_ladder_callers;
+       Alcotest.test_case "one /proc reload, one bump, one publish" `Quick
+         test_proc_reload_one_bump ]);
     ("plane:guard",
      [ Alcotest.test_case "set_domains refused in flight" `Quick
          test_set_domains_in_flight;
